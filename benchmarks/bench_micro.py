@@ -67,6 +67,15 @@ def test_bench_list_scheduler_60_tasks(benchmark, graph60):
     assert schedule.makespan_s() > 0
 
 
+def test_bench_list_scheduler_timings_60_tasks(benchmark, graph60):
+    """The schedule-free kernel the evaluator's miss path runs."""
+    scheduler = ListScheduler(graph60, [2e8] * 6)
+    mapping = Mapping.round_robin(graph60, 6)
+    cores = graph60.compiled().signature(mapping)
+    makespan_s, busy_s, busy_cycles = benchmark(scheduler.timings, cores)
+    assert makespan_s == scheduler.schedule(mapping).makespan_s()
+
+
 def test_bench_design_point_evaluation(benchmark, mpeg2):
     evaluator = MappingEvaluator(
         mpeg2,

@@ -44,7 +44,7 @@ def main() -> None:
     for core, tasks in enumerate(best.mapping.core_groups()):
         print(f"  core {core + 1} (s={FIG8_SCALING[core]}): {', '.join(tasks) or '-'}")
     print()
-    print(best.schedule.gantt_text())
+    print(evaluator.schedule_of(best).gantt_text())
     print()
 
     # Validate the analytic Gamma (Eq. 3) with Monte-Carlo injection.

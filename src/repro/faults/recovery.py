@@ -19,6 +19,9 @@ module computes:
 * :func:`tolerable_task_set` — the largest number of distinct tasks
   (chosen worst-first) whose single re-execution still fits;
 * :class:`RecoveryAnalysis` — the bundle, via :func:`analyze_recovery`.
+
+The duration-based queries take the point's schedule from
+:meth:`~repro.mapping.metrics.MappingEvaluator.schedule_of`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.mapping.metrics import DesignPoint
+from repro.sched.schedule import Schedule
 
 
 def recovery_slack_s(point: DesignPoint, deadline_s: float) -> float:
@@ -36,16 +40,14 @@ def recovery_slack_s(point: DesignPoint, deadline_s: float) -> float:
     return deadline_s - point.makespan_s
 
 
-def _task_durations(point: DesignPoint) -> List[Tuple[str, float]]:
+def _task_durations(schedule: Schedule) -> List[Tuple[str, float]]:
     """(task, duration seconds) for every scheduled task, longest first."""
-    if point.schedule is None:
-        raise ValueError("design point carries no schedule")
-    durations = [(entry.name, entry.duration_s) for entry in point.schedule]
+    durations = [(entry.name, entry.duration_s) for entry in schedule]
     durations.sort(key=lambda item: (-item[1], item[0]))
     return durations
 
 
-def max_reexecutions(point: DesignPoint, deadline_s: float) -> int:
+def max_reexecutions(point: DesignPoint, deadline_s: float, schedule: Schedule) -> int:
     """Guaranteed re-execution count for any single (worst-case) task.
 
     The conservative bound: the longest task re-executed ``k`` times
@@ -54,14 +56,16 @@ def max_reexecutions(point: DesignPoint, deadline_s: float) -> int:
     slack = recovery_slack_s(point, deadline_s)
     if slack < 0:
         return 0
-    durations = _task_durations(point)
+    durations = _task_durations(schedule)
     worst = durations[0][1]
     if worst <= 0:
         return 0
     return int(slack / worst)
 
 
-def tolerable_task_set(point: DesignPoint, deadline_s: float) -> List[str]:
+def tolerable_task_set(
+    point: DesignPoint, deadline_s: float, schedule: Schedule
+) -> List[str]:
     """Largest worst-first set of distinct tasks re-executable once each.
 
     Greedy from the longest task down: if even the longest fits, add
@@ -73,7 +77,7 @@ def tolerable_task_set(point: DesignPoint, deadline_s: float) -> List[str]:
         return []
     chosen: List[str] = []
     used = 0.0
-    for name, duration in _task_durations(point):
+    for name, duration in _task_durations(schedule):
         if used + duration <= slack + 1e-12:
             chosen.append(name)
             used += duration
@@ -109,12 +113,14 @@ class RecoveryAnalysis:
         return self.worst_case_reexecutions >= 1
 
 
-def analyze_recovery(point: DesignPoint, deadline_s: float) -> RecoveryAnalysis:
-    """Full recovery analysis for one design point."""
+def analyze_recovery(
+    point: DesignPoint, deadline_s: float, schedule: Schedule
+) -> RecoveryAnalysis:
+    """Full recovery analysis for one design point and its schedule."""
     slack = recovery_slack_s(point, deadline_s)
     return RecoveryAnalysis(
         slack_s=slack,
-        worst_case_reexecutions=max_reexecutions(point, deadline_s),
-        tolerable_tasks=tuple(tolerable_task_set(point, deadline_s)),
+        worst_case_reexecutions=max_reexecutions(point, deadline_s, schedule),
+        tolerable_tasks=tuple(tolerable_task_set(point, deadline_s, schedule)),
         slack_fraction=max(slack, 0.0) / deadline_s,
     )

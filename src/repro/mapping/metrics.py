@@ -32,10 +32,9 @@ and caches evaluations, since local search re-visits design points.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.mpsoc import MPSoC
@@ -49,7 +48,7 @@ try:  # optional: the vectorized batch path degrades gracefully without it
 except ImportError:  # pragma: no cover
     _np = None
 from repro.sched.list_scheduler import ListScheduler
-from repro.sched.schedule import Schedule
+from repro.sched.schedule import Schedule, from_arrays_validation_enabled
 from repro.taskgraph.graph import TaskGraph
 
 # ---------------------------------------------------------------------------
@@ -147,6 +146,33 @@ def expected_seus(
         bits * cycles * rate
         for bits, cycles, rate in zip(register_bits, execution_cycles, rates)
     )
+
+
+def _check_against_schedule(
+    schedule: Schedule,
+    makespan_s: float,
+    busy_s: List[float],
+    busy_cycles: List[int],
+    makespan_cycles: int,
+) -> None:
+    """Assert kernel timings equal a full schedule's, bit for bit.
+
+    The runtime half of the schedule-free evaluation contract, armed by
+    ``REPRO_VALIDATE_SCHEDULES=1`` (the differential suite is the
+    offline half).
+    """
+    cores = range(schedule.num_cores)
+    checks = {
+        "makespan_s": makespan_s == schedule.makespan_s(),
+        "busy_s": busy_s == [schedule.busy_s(core) for core in cores],
+        "busy_cycles": busy_cycles == [schedule.busy_cycles(core) for core in cores],
+        "makespan_cycles": makespan_cycles == schedule.makespan_cycles(),
+    }
+    diverged = [name for name, ok in checks.items() if not ok]
+    if diverged:
+        raise AssertionError(
+            f"schedule-free timings diverged from the full schedule: {diverged}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +362,9 @@ class DesignPoint:
     All of Table II's columns are here: the mapping, the per-core
     scaling coefficients, power ``P`` (mW), register usage ``R``
     (bits), multiprocessor execution time ``T_M`` (seconds and
-    nominal-clock cycles) and expected SEUs ``Gamma``.
+    nominal-clock cycles) and expected SEUs ``Gamma``.  The list
+    schedule behind the metrics is not kept; build it on demand with
+    :meth:`MappingEvaluator.schedule_of`.
     """
 
     mapping: Mapping
@@ -350,7 +378,21 @@ class DesignPoint:
     expected_seus: float
     activities: Tuple[float, ...]
     meets_deadline: Optional[bool] = None
-    schedule: Optional[Schedule] = field(repr=False, compare=False, default=None)
+
+    @classmethod
+    def _trusted(cls, **fields: object) -> "DesignPoint":
+        """Build from a complete field set, skipping the frozen
+        ``__init__``'s per-field ``object.__setattr__`` calls (the
+        evaluator's miss path; a third of the assembly cost)."""
+        point = object.__new__(cls)
+        point.__dict__.update(fields)
+        return point
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Points pickled while DesignPoint still carried a ``schedule``
+        # field (older mid-cell checkpoints) load without it.
+        self.__dict__.update(state)
+        self.__dict__.pop("schedule", None)
 
     @property
     def register_kbits_total(self) -> float:
@@ -459,7 +501,9 @@ class MappingEvaluator:
         ] = {}
         self._schedulers: Dict[Tuple[int, ...], ListScheduler] = {}
         self._batched_schedulers: Dict[Tuple[int, ...], BatchedListScheduler] = {}
-        self._power_terms_memo: Dict[Tuple[int, ...], object] = {}
+        # Per-scaling metric-assembly invariants: (frequencies, rates,
+        # fastest frequency, Eq. (5) power terms).
+        self._assembly_memo: Dict[Tuple[int, ...], tuple] = {}
         self._scaling_memo: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         # Per-core cycle-scale factors for heterogeneous platforms;
         # None keeps every scheduler on the base-cycle seed path.
@@ -530,44 +574,23 @@ class MappingEvaluator:
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)  # true LRU: evict the oldest
 
-    def _probe_cache(
-        self, key: "SignatureKey", scaling_vector: Tuple[int, ...]
-    ) -> Optional[DesignPoint]:
-        """The shared hit path of :meth:`evaluate` / :meth:`evaluate_signature`.
-
-        A hit on a schedule-less point seeded by the vectorized
-        :meth:`evaluate_batch` is rehydrated in place (the schedule is
-        bit-identical to the one the miss path would have attached;
-        the in-place assignment preserves the LRU position the hit
-        just refreshed), keeping the full-schedule guarantee identical
-        at both entry points.
-        """
-        cached = self._cache_lookup(key)
-        if cached is None:
-            return None
-        if cached.schedule is None:
-            schedule = self.scheduler_for(scaling_vector).schedule(cached.mapping)
-            cached = dataclasses.replace(cached, schedule=schedule)
-            self._cache[key] = cached
-        return cached
-
     def evaluate(
         self, mapping: Mapping, scaling: Optional[Sequence[int]] = None
     ) -> DesignPoint:
         """Evaluate a mapping under a scaling vector (defaults to platform's).
 
-        Returned points always carry a full :class:`Schedule`: a cache
-        hit on a schedule-less point seeded by the vectorized
-        :meth:`evaluate_batch` is rehydrated in place (the schedule is
-        bit-identical to the one the miss path would have attached;
-        metrics and counters are untouched).
+        A miss runs the scheduler's static-order kernel
+        (:meth:`ListScheduler.timings`) and assembles the metrics from
+        its arrays; no :class:`Schedule` is built.  Call
+        :meth:`schedule_of` on the returned point when the timeline
+        itself is needed.
         """
         scaling_vector = self._resolve_scaling(scaling)
         self.evaluations += 1
         compiled = self._sync_compiled()
         if self._cache_size:
             key = self._cache_key(compiled, mapping, scaling_vector)
-            cached = self._probe_cache(key, scaling_vector)
+            cached = self._cache_lookup(key)
             if cached is not None:
                 return cached
         self.cache_misses += 1
@@ -595,8 +618,8 @@ class MappingEvaluator:
         the authoritative evaluation needs one anyway — with
         ``template`` supplying the task insertion order so rendered
         artifacts match the Mapping-based walk's byte for byte.
-        Counters (``evaluations``/``cache_hits``/``cache_misses``),
-        LRU traffic and the full-schedule guarantee are exactly
+        Counters (``evaluations``/``cache_hits``/``cache_misses``), LRU
+        traffic and the schedule-free miss path are exactly
         :meth:`evaluate`'s.
 
         Parameters
@@ -638,7 +661,7 @@ class MappingEvaluator:
         key: Optional[SignatureKey] = None
         if self._cache_size:
             key = SignatureKey(signature, num_cores, scaling_vector, signature_hash)
-            cached = self._probe_cache(key, scaling_vector)
+            cached = self._cache_lookup(key)
             if cached is not None:
                 return cached
         self.cache_misses += 1
@@ -657,7 +680,6 @@ class MappingEvaluator:
         self,
         mappings: Sequence[Mapping],
         scaling: Optional[Sequence[int]] = None,
-        include_schedules: bool = False,
     ) -> List[DesignPoint]:
         """Evaluate many mappings under one scaling vector, vectorized.
 
@@ -671,19 +693,9 @@ class MappingEvaluator:
         operations, see the module docstring there), several times
         faster than the per-mapping loop, which survives as
         :meth:`evaluate_batch_reference` for parity testing and as the
-        fallback when numpy is unavailable.
-
-        ``include_schedules=False`` (the default) skips materializing
-        per-mapping :class:`Schedule` objects — the bulk consumers
-        (fig3's sample study, batched candidate screening in the
-        searchers) never look at them.  Points produced this way carry
-        ``schedule=None`` (also into the cache; a later
-        :meth:`evaluate` hit rehydrates the schedule in place, so
-        evaluate()'s full-schedule guarantee is preserved).  Pass
-        ``include_schedules=True`` when the batch results themselves
-        feed schedule consumers (recovery slack, Gantt rendering) —
-        the rows come straight from the batch arrays and remain
-        bit-identical.
+        fallback when numpy is unavailable.  Points are assembled by the
+        same function as :meth:`evaluate`'s; :meth:`schedule_of` builds
+        a point's schedule on demand.
         """
         scaling_vector = self._resolve_scaling(scaling)
         compiled = self._sync_compiled()
@@ -732,9 +744,7 @@ class MappingEvaluator:
                 slots.append(placeholder)
             # Phase 2 — one vectorized scheduling pass over the misses.
             if pending:
-                self._evaluate_pending(
-                    pending, scaling_vector, batched, include_schedules
-                )
+                self._evaluate_pending(pending, scaling_vector, batched)
         except Exception:
             # Leave no placeholder behind: the cache must only ever
             # hand out real design points.
@@ -757,39 +767,21 @@ class MappingEvaluator:
         pending: "OrderedDict[Tuple[int, ...], _PendingPoint]",
         scaling: Tuple[int, ...],
         batched: BatchedListScheduler,
-        include_schedules: bool,
     ) -> None:
         """Schedule all pending signatures in one shot and build points.
 
-        The per-row assembly replays :meth:`_evaluate_with`'s float
-        operations exactly (same expressions, same core order, power
-        through the precomputed Eq. (5) terms) so batched points are
-        bit-identical to the loop path's.
+        Rows go through :meth:`_design_point`, the scalar path's
+        metric assembly, so batched points are bit-identical to the
+        loop path's.
         """
-        frequencies, _, rates = self._operating_point(scaling)
-        platform = self.platform
         compiled = self._compiled
-        mask_bits = compiled.mask_bits
-        deadline = self.deadline_s
-        num_cores = platform.num_cores
-        power_model = self.power_model
-        power_terms = self._power_terms(scaling)
+        num_cores = self.platform.num_cores
         result = batched.run(list(pending.keys()))
         # One bulk conversion to Python scalars for the whole batch —
         # exact, and far cheaper than per-row numpy scalar reads.
         makespans = result.makespans.tolist()
+        busy_s_rows = result.busy_s.tolist()
         busy_cycles_rows = result.busy_cycles.tolist()
-        max_frequency = max(frequencies)
-        idle_activities = (0.0,) * num_cores
-        # Activities vectorize batch-wide (same divide and min ops as
-        # Schedule.activities); rows with an empty span fall back.
-        if min(makespans) > 0.0:
-            activity_rows = _np.minimum(
-                result.busy_s / result.makespans[:, None], 1.0
-            ).tolist()
-        else:
-            activity_rows = None
-            busy_s_rows = result.busy_s.tolist()
         # Per-core register unions vectorize when every mask fits an
         # int64 lane (<= 63 distinct registers); the bitwise ORs are
         # the same ones core_masks performs, in any order.
@@ -809,45 +801,17 @@ class MappingEvaluator:
                 axis=1,
             ).tolist()
         for row, placeholder in enumerate(pending.values()):
-            makespan_s = makespans[row]
-            if activity_rows is not None:
-                activities = tuple(activity_rows[row])
-            elif makespan_s <= 0.0:
-                activities = idle_activities
-            else:
-                activities = tuple(
-                    min(busy / makespan_s, 1.0) for busy in busy_s_rows[row]
-                )
             if mask_rows is not None:
                 core_masks = mask_rows[row]
             else:
                 core_masks = compiled.core_masks(placeholder.signature, num_cores)
-            register_bits = tuple(mask_bits(mask) for mask in core_masks)
-            # Inlined Eq. (3) under full-window exposure: identical
-            # term order and float ops as exposure tuple + expected_seus.
-            gamma = 0.0
-            for bits, frequency, rate in zip(register_bits, frequencies, rates):
-                if bits:
-                    gamma += bits * (makespan_s * frequency) * rate
-            power_mw = power_model.platform_power_mw_from_terms(
-                power_terms, activities
-            )
-            meets = None
-            if deadline is not None:
-                meets = makespan_s <= deadline + 1e-12
-            placeholder.point = DesignPoint(
-                mapping=placeholder.mapping,
-                scaling=scaling,
-                power_mw=power_mw,
-                register_bits_per_core=register_bits,
-                register_bits_total=sum(register_bits),
-                execution_cycles_per_core=tuple(busy_cycles_rows[row]),
-                makespan_s=makespan_s,
-                makespan_cycles=int(round(makespan_s * max_frequency)),
-                expected_seus=gamma,
-                activities=activities,
-                meets_deadline=meets,
-                schedule=result.schedule(row) if include_schedules else None,
+            placeholder.point = self._design_point(
+                placeholder.mapping,
+                scaling,
+                makespans[row],
+                busy_s_rows[row],
+                busy_cycles_rows[row],
+                core_masks,
             )
 
     def evaluate_batch_reference(
@@ -860,12 +824,10 @@ class MappingEvaluator:
         costs amortized.  Kept as the behavioural reference for the
         vectorized :meth:`evaluate_batch` — the parity suite asserts
         bit-identical points and counter parity between the two — and
-        as the fallback when numpy is unavailable.  Points carry full
-        schedules, exactly like :meth:`evaluate`'s.
+        as the fallback when numpy is unavailable.
         """
         scaling_vector = self._resolve_scaling(scaling)
         compiled = self._sync_compiled()
-        frequencies, _, rates = self._operating_point(scaling_vector)
         scheduler = self.scheduler_for(scaling_vector)
         cache_size = self._cache_size
         points: List[DesignPoint] = []
@@ -878,9 +840,7 @@ class MappingEvaluator:
                     points.append(cached)
                     continue
             self.cache_misses += 1
-            point = self._evaluate_with(
-                mapping, scaling_vector, frequencies, rates, scheduler
-            )
+            point = self._evaluate_with(mapping, scaling_vector, scheduler)
             if cache_size:
                 self._cache_store(key, point)
             points.append(point)
@@ -923,12 +883,18 @@ class MappingEvaluator:
             self._schedulers[scaling] = scheduler
         return scheduler
 
-    def _power_terms(self, scaling: Tuple[int, ...]):
-        """Memoized Eq. (5) invariants (platform-only, graph-independent)."""
-        terms = self._power_terms_memo.get(scaling)
+    def _assembly_terms(self, scaling: Tuple[int, ...]) -> tuple:
+        """Memoized per-scaling invariants of :meth:`_design_point`."""
+        terms = self._assembly_memo.get(scaling)
         if terms is None:
-            terms = self.power_model.platform_terms(self.platform, scaling)
-            self._power_terms_memo[scaling] = terms
+            frequencies, _, rates = self._operating_point(scaling)
+            terms = (
+                frequencies,
+                rates,
+                max(frequencies),
+                self.power_model.platform_terms(self.platform, scaling),
+            )
+            self._assembly_memo[scaling] = terms
         return terms
 
     def batched_scheduler_for(
@@ -954,64 +920,102 @@ class MappingEvaluator:
             self._batched_schedulers[scaling] = batched
         return batched
 
+    def schedule_of(self, point: DesignPoint) -> Schedule:
+        """The full list schedule behind ``point``, built on demand.
+
+        Design points carry metrics only; consumers of the timeline
+        (recovery slack, Gantt rendering) call this.  The schedule's
+        makespan and busy sums are bit-identical to the ones the
+        point's metrics were assembled from.
+        """
+        return self.scheduler_for(point.scaling).schedule(point.mapping)
+
     def _evaluate_uncached(
         self, mapping: Mapping, scaling: Tuple[int, ...]
     ) -> DesignPoint:
-        frequencies, _, rates = self._operating_point(scaling)
-        scheduler = self.scheduler_for(scaling)
-        return self._evaluate_with(mapping, scaling, frequencies, rates, scheduler)
+        return self._evaluate_with(mapping, scaling, self.scheduler_for(scaling))
 
     def _evaluate_with(
+        self, mapping: Mapping, scaling: Tuple[int, ...], scheduler: ListScheduler
+    ) -> DesignPoint:
+        """The scalar miss path: static-order timings, then assembly."""
+        compiled = self._compiled
+        cores, _ = mapping.signature_info(compiled)  # validates coverage
+        num_cores = self.platform.num_cores
+        if mapping.num_cores != num_cores:
+            raise ValueError(
+                f"mapping targets {mapping.num_cores} cores, scheduler has "
+                f"{num_cores}"
+            )
+        makespan_s, busy_s, busy_cycles = scheduler.timings(cores)
+        return self._design_point(
+            mapping,
+            scaling,
+            makespan_s,
+            busy_s,
+            busy_cycles,
+            compiled.core_masks(cores, num_cores),
+        )
+
+    def _design_point(
         self,
         mapping: Mapping,
         scaling: Tuple[int, ...],
-        frequencies: Tuple[float, ...],
-        rates: Tuple[float, ...],
-        scheduler: ListScheduler,
+        makespan_s: float,
+        busy_s: Sequence[float],
+        busy_cycles: Sequence[int],
+        core_masks: Sequence[int],
     ) -> DesignPoint:
-        """The evaluation body, with the per-scaling lookups prefetched."""
-        platform = self.platform
-        schedule = scheduler.schedule(mapping)  # validates mapping coverage
-        makespan_s = schedule.makespan_s()
-        activities = schedule.activities()
+        """Assemble a :class:`DesignPoint` from scheduling arrays.
 
-        compiled = self._compiled
-        mask_bits = compiled.mask_bits
-        core_masks = compiled.core_masks(
-            mapping.core_index_list(compiled.names), platform.num_cores
+        The one metric-assembly body of the scalar and batched paths.
+        Its float operations replay :meth:`evaluate_reference`'s
+        (``Schedule.activities``, :func:`expected_seus`, Eq. (5) power)
+        exactly.  With ``REPRO_VALIDATE_SCHEDULES`` armed, the full
+        :class:`Schedule` is built as well and must agree exactly.
+        """
+        frequencies, rates, max_frequency, power_terms = self._assembly_terms(scaling)
+        makespan_cycles = int(round(makespan_s * max_frequency))
+        if from_arrays_validation_enabled():
+            _check_against_schedule(
+                self.scheduler_for(scaling).schedule(mapping),
+                makespan_s,
+                list(busy_s),
+                list(busy_cycles),
+                makespan_cycles,
+            )
+        if makespan_s > 0.0:
+            activities = tuple([min(busy / makespan_s, 1.0) for busy in busy_s])
+        else:
+            activities = (0.0,) * len(busy_s)
+        mask_bits = self._compiled.mask_bits
+        register_bits = tuple([mask_bits(mask) for mask in core_masks])
+        # Eq. (3) under full-window exposure in each core's own cycles
+        # (see module docstring): registers stay live from start to T_M.
+        gamma = sum(
+            [
+                bits * (makespan_s * frequency) * rate if bits else 0.0
+                for bits, frequency, rate in zip(register_bits, frequencies, rates)
+            ]
         )
-        register_bits = tuple(mask_bits(mask) for mask in core_masks)
-        execution_cycles = tuple(
-            schedule.busy_cycles(core) for core in range(platform.num_cores)
-        )
-        # Full-window exposure in each core's own cycles (see module
-        # docstring): registers stay live from start to T_M.
-        exposure_cycles = tuple(
-            makespan_s * frequency if bits else 0.0
-            for frequency, bits in zip(frequencies, register_bits)
-        )
-        gamma = expected_seus(register_bits, exposure_cycles, rates)
-
-        power_mw = self.power_model.platform_power_mw(
-            platform, scaling=scaling, activities=activities
+        power_mw = self.power_model.platform_power_mw_from_terms(
+            power_terms, activities
         )
         meets = None
         if self.deadline_s is not None:
             meets = makespan_s <= self.deadline_s + 1e-12
-
-        return DesignPoint(
+        return DesignPoint._trusted(
             mapping=mapping,
             scaling=scaling,
             power_mw=power_mw,
             register_bits_per_core=register_bits,
             register_bits_total=sum(register_bits),
-            execution_cycles_per_core=execution_cycles,
+            execution_cycles_per_core=tuple(busy_cycles),
             makespan_s=makespan_s,
-            makespan_cycles=schedule.makespan_cycles(),
+            makespan_cycles=makespan_cycles,
             expected_seus=gamma,
             activities=activities,
             meets_deadline=meets,
-            schedule=schedule,
         )
 
     def evaluate_reference(
@@ -1079,7 +1083,6 @@ class MappingEvaluator:
             expected_seus=gamma,
             activities=activities,
             meets_deadline=meets,
-            schedule=schedule,
         )
 
     # -- cache control ----------------------------------------------------------

@@ -5,15 +5,17 @@ order is **mapping-independent**.  The ready heap is keyed on
 ``(-bottom_level, name)`` and readiness only tracks how many
 predecessors have been scheduled — neither depends on where tasks are
 mapped or on any start/finish time.  Every mapping of one graph is
-therefore scheduled in the *same* task order, and that order can be
-computed once per compiled graph.
+therefore scheduled in the *same* task order, which
+:class:`~repro.taskgraph.compiled.CompiledTaskGraph` computes once
+(``schedule_order``) for this module and the scalar
+:class:`~repro.sched.list_scheduler.ListScheduler` alike.
 
 :class:`BatchedListScheduler` turns that into a stacked-array
 schedule: per-batch-row ``core_free``/``finish`` state evolves through
 one pass over the static order, with every timing update vectorized
 across the batch dimension (numpy, float64).  The per-step arithmetic
-replays :meth:`~repro.sched.list_scheduler.ListScheduler.schedule`'s
-float operations exactly —
+replays the scalar :class:`~repro.sched.list_scheduler.ListScheduler`
+loop's float operations exactly —
 
 * ``earliest`` is a chain of IEEE-754 ``max`` operations (exact and
   order-insensitive),
@@ -46,7 +48,6 @@ back to the per-mapping loop when it cannot.
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional, Sequence, Tuple
 
 from repro.mapping.mapping import Mapping
@@ -163,30 +164,23 @@ class BatchScheduleResult:
     def schedule(self, row: int) -> Schedule:
         """Materialize one row as a full :class:`Schedule`.
 
-        Rows are handed to :meth:`Schedule.from_arrays` in pop order —
-        the same input order the serial scheduler produces — so the
-        resulting object is bit-identical to the serial path's,
-        including canonical-sort tie resolution.
+        Rows go in task-index order, as the scalar scheduler hands them
+        over; :meth:`Schedule.from_arrays` sorts by the unique
+        ``(start, core, name)`` key, so the object equals the scalar
+        path's bit for bit.
         """
-        order = self.order
-        cores_row = self.cores[row]
-        starts_row = self.starts[row]
-        finishes_row = self.finishes[row]
-        receive_row = self.receive[row]
-        names = self.names
-        core_cycles = self.core_cycles
-        if core_cycles is None:
-            cycles = self.cycles
-            compute = [cycles[t] for t in order]
+        cores = self.cores[row].tolist()
+        if self.core_cycles is None:
+            compute = self.cycles
         else:
-            compute = [core_cycles[int(cores_row[t])][t] for t in order]
+            compute = [self.core_cycles[core][t] for t, core in enumerate(cores)]
         return Schedule.from_arrays(
-            [names[t] for t in order],
-            [int(cores_row[t]) for t in order],
-            [float(starts_row[t]) for t in order],
-            [float(finishes_row[t]) for t in order],
+            self.names,
+            cores,
+            self.starts[row].tolist(),
+            self.finishes[row].tolist(),
             compute,
-            [int(receive_row[t]) for t in order],
+            self.receive[row].tolist(),
             self.num_cores,
             self.frequencies_hz,
         )
@@ -197,8 +191,8 @@ class BatchedListScheduler:
 
     Construction mirrors :class:`~repro.sched.list_scheduler.
     ListScheduler` (same validation, same comm models); the instance
-    additionally compiles the static pop order and per-step
-    predecessor slices into numpy arrays, shared by every
+    additionally lowers the compiled graph's static pop order and
+    per-step predecessor slices into numpy arrays, shared by every
     :meth:`run` call.
 
     Raises
@@ -257,46 +251,17 @@ class BatchedListScheduler:
     # -- static plan -------------------------------------------------------
 
     def _compile_plan(self) -> None:
-        """Pop order + per-step predecessor arrays (mapping-independent)."""
+        """Per-step predecessor arrays over the compiled static order."""
         compiled = self._compiled
-        n = compiled.num_tasks
-        pred_ptr = compiled.pred_ptr
-        succ_ptr = compiled.succ_ptr
-        succ_idx = compiled.succ_idx
-        names = compiled.names
-        priorities = compiled.bottom_levels
-
-        in_degree = [pred_ptr[i + 1] - pred_ptr[i] for i in range(n)]
-        ready = [
-            (-priorities[i], names[i], i) for i in compiled.entry_indices
-        ]
-        heapq.heapify(ready)
-        order: List[int] = []
-        while ready:
-            _, _, i = heapq.heappop(ready)
-            order.append(i)
-            for e in range(succ_ptr[i], succ_ptr[i + 1]):
-                successor = succ_idx[e]
-                in_degree[successor] -= 1
-                if in_degree[successor] == 0:
-                    heapq.heappush(
-                        ready, (-priorities[successor], names[successor], successor)
-                    )
-        if len(order) != n:
-            raise ValueError("scheduling incomplete: graph contains a cycle")
-        self._order: Tuple[int, ...] = tuple(order)
+        self._order: Tuple[int, ...] = compiled.schedule_order
         # Per-step predecessor id / comm-cycle arrays, in edge order.
-        pred_idx = compiled.pred_idx
-        pred_comm = compiled.pred_comm
         self._step_preds = []
         self._step_comm = []
-        for i in order:
-            begin, end = pred_ptr[i], pred_ptr[i + 1]
-            if end > begin:
-                self._step_preds.append(_np.array(pred_idx[begin:end], dtype=_np.intp))
-                self._step_comm.append(
-                    _np.array(pred_comm[begin:end], dtype=_np.int64)
-                )
+        for _, preds in compiled.schedule_steps:
+            if preds:
+                producers, comms = zip(*preds)
+                self._step_preds.append(_np.array(producers, dtype=_np.intp))
+                self._step_comm.append(_np.array(comms, dtype=_np.int64))
             else:
                 self._step_preds.append(None)
                 self._step_comm.append(None)

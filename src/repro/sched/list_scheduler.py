@@ -34,28 +34,29 @@ every incoming transfer) has finished.
 
 Implementation
 --------------
-:meth:`ListScheduler.schedule` runs on the graph's
-:class:`~repro.taskgraph.compiled.CompiledTaskGraph` — integer task
-ids, CSR adjacency and preallocated per-core arrays — which is several
-times faster than the original dict-and-string walk while producing a
-bit-for-bit identical :class:`~repro.sched.schedule.Schedule` (the
-heap keys, float operations and predecessor iteration order are
-preserved exactly).  The original implementation is kept as
-:meth:`ListScheduler.schedule_reference` and the parity suite asserts
-equality on randomized inputs.
-
 The pop order is mapping-independent (the ready heap is keyed on
 ``(-bottom_level, name)`` and readiness only counts scheduled
-predecessors), which is what lets
-:class:`~repro.sched.batched.BatchedListScheduler` schedule a whole
-batch of mappings through one static order in a single numpy pass —
-bit-identical to calling :meth:`ListScheduler.schedule` per mapping.
+predecessors), so :class:`~repro.taskgraph.compiled.CompiledTaskGraph`
+walks the heap once (``schedule_order``).  :class:`ListScheduler` runs
+one loop over that static order — no heap, no in-degree bookkeeping —
+filling per-task start/finish/receive arrays and per-core busy seconds
+and cycles.  :meth:`ListScheduler.timings` returns just ``(makespan_s,
+busy_s, busy_cycles)``, all the evaluator's metrics need;
+:meth:`ListScheduler.schedule` builds a full
+:class:`~repro.sched.schedule.Schedule` from the same arrays.  Busy
+seconds accumulate ``finish - start`` in pop order, which per core is
+the canonical order :class:`Schedule` sums in (a start tie on a core
+forces a zero-length span, a float identity), so both agree bit for
+bit.  The seed heap walk is kept as
+:meth:`ListScheduler.schedule_reference` for the parity suites, and
+:class:`~repro.sched.batched.BatchedListScheduler` schedules whole
+batches through the same static order in one numpy pass.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.mpsoc import MPSoC
 from repro.mapping.mapping import Mapping
@@ -125,25 +126,14 @@ class ListScheduler:
         self._build_templates()
 
     def _build_templates(self) -> None:
-        """Per-call templates: copied (not rebuilt) on every schedule()."""
-        compiled = self._compiled
-        self._base_in_degree = [
-            compiled.pred_ptr[i + 1] - compiled.pred_ptr[i]
-            for i in range(compiled.num_tasks)
-        ]
-        initial_ready = [
-            (-compiled.bottom_levels[i], compiled.names[i], i)
-            for i in compiled.entry_indices
-        ]
-        heapq.heapify(initial_ready)
-        self._initial_ready = initial_ready
-        # Per-core cycle rows.  Homogeneous platforms point every core
-        # at the base tuple *object*, so the ints fetched in the hot
-        # loop are exactly the seed path's.
+        """Per-core cycle rows for the current compiled view."""
+        # Homogeneous platforms point every core at the base tuple
+        # *object*, so the ints fetched in the hot loop are exactly the
+        # seed path's.
         if self._cycle_scales is None:
-            self._core_cycles = (compiled.cycles,) * len(self._frequencies)
+            self._core_cycles = (self._compiled.cycles,) * len(self._frequencies)
         else:
-            self._core_cycles = compiled.cycles_for_cores(self._cycle_scales)
+            self._core_cycles = self._compiled.cycles_for_cores(self._cycle_scales)
 
     @classmethod
     def for_platform(
@@ -188,6 +178,79 @@ class ListScheduler:
         """Per-core clock frequencies."""
         return self._frequencies
 
+    def _run(
+        self, cores: Sequence[int]
+    ) -> Tuple[List[float], List[float], List[int], List[float], List[int]]:
+        """The scheduling loop: one pass over the static pop order.
+
+        ``cores[i]`` is the core of compiled task ``i``.  Returns
+        per-task ``(starts, finishes, receive)`` and per-core
+        ``(busy_s, busy_cycles)``.
+        """
+        compiled = self._graph.compiled()
+        if compiled is not self._compiled:
+            # The graph mutated since construction; renew the arrays so
+            # we never schedule against stale adjacency (the reference
+            # path reads the graph live and stays in step).
+            self._compiled = compiled
+            self._build_templates()
+        n = compiled.num_tasks
+        if len(cores) != n:
+            raise ValueError(f"core list has {len(cores)} entries for {n} tasks")
+        num_cores = len(self._frequencies)
+        frequencies = self._frequencies
+        core_cycles = self._core_cycles
+        dedicated = self.comm_model == "dedicated"
+        bus_frequency = self._bus_frequency
+        bus_free_at = 0.0
+        core_free_at = [0.0] * num_cores
+        busy_s = [0.0] * num_cores
+        busy_cycles = [0] * num_cores
+        starts = [0.0] * n
+        finishes = [0.0] * n
+        receive = [0] * n
+        for i, preds in compiled.schedule_steps:
+            core = cores[i]
+            earliest = core_free_at[core]
+            receive_cycles = 0
+            for producer, comm in preds:
+                producer_finish = finishes[producer]
+                if producer_finish > earliest:
+                    earliest = producer_finish
+                if cores[producer] != core:
+                    if dedicated:
+                        receive_cycles += comm
+                    else:  # shared-bus: the transfer serializes on the bus
+                        transfer_start = (
+                            bus_free_at
+                            if bus_free_at > producer_finish
+                            else producer_finish
+                        )
+                        bus_free_at = transfer_start + comm / bus_frequency
+                        if bus_free_at > earliest:
+                            earliest = bus_free_at
+            occupancy = core_cycles[core][i] + receive_cycles
+            finish = earliest + occupancy / frequencies[core]
+            core_free_at[core] = finish
+            starts[i] = earliest
+            finishes[i] = finish
+            receive[i] = receive_cycles
+            busy_s[core] += finish - earliest
+            busy_cycles[core] += occupancy
+        return starts, finishes, receive, busy_s, busy_cycles
+
+    def timings(self, cores: Sequence[int]) -> Tuple[float, List[float], List[int]]:
+        """``(makespan_s, busy_s, busy_cycles)`` of a dense core assignment.
+
+        ``cores[i]`` is the core of compiled task ``i`` — the
+        evaluator's canonical mapping signature.  Entries must lie in
+        ``0..num_cores-1`` (a validated :class:`Mapping` guarantees
+        it).  Bit-identical to the corresponding :class:`Schedule`
+        queries, without building one.
+        """
+        _, finishes, _, busy_s, busy_cycles = self._run(cores)
+        return max(finishes, default=0.0), busy_s, busy_cycles
+
     def schedule(self, mapping: Mapping) -> Schedule:
         """Schedule ``mapping`` and return the resulting timeline.
 
@@ -198,107 +261,23 @@ class ListScheduler:
             different number of cores.
         """
         compiled = self._graph.compiled()
-        if compiled is not self._compiled:
-            # The graph mutated since construction; renew the arrays so
-            # we never schedule against stale adjacency (the reference
-            # path reads the graph live and stays in step).
-            self._compiled = compiled
-            self._build_templates()
-        names = compiled.names
-        cores = mapping.core_index_list(names)  # validates coverage
+        cores = mapping.core_index_list(compiled.names)  # validates coverage
         if mapping.num_cores != self.num_cores:
             raise ValueError(
                 f"mapping targets {mapping.num_cores} cores, scheduler has "
                 f"{self.num_cores}"
             )
-
-        n = compiled.num_tasks
+        starts, finishes, receive, _, _ = self._run(cores)
         core_cycles = self._core_cycles
-        pred_ptr = compiled.pred_ptr
-        pred_idx = compiled.pred_idx
-        pred_comm = compiled.pred_comm
-        succ_ptr = compiled.succ_ptr
-        succ_idx = compiled.succ_idx
-        priorities = compiled.bottom_levels
-        frequencies = self._frequencies
-        dedicated = self.comm_model == "dedicated"
-        bus_frequency = self._bus_frequency
-
-        in_degree = self._base_in_degree.copy()
-        # Max-heap on priority; tie-break on name for determinism (the
-        # integer id rides along as the payload).  A copy of a heap is
-        # a heap, so the template needs no re-heapify.
-        ready = self._initial_ready.copy()
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        core_free_at = [0.0] * self.num_cores
-        bus_free_at = 0.0
-        finish_at = [0.0] * n
-        entry_names: List[str] = []
-        entry_cores: List[int] = []
-        entry_starts: List[float] = []
-        entry_finishes: List[float] = []
-        entry_compute: List[int] = []
-        entry_receive: List[int] = []
-
-        scheduled_count = 0
-        while ready:
-            _, name, i = heappop(ready)
-            core = cores[i]
-            frequency = frequencies[core]
-
-            receive_cycles = 0
-            earliest = core_free_at[core]
-            for e in range(pred_ptr[i], pred_ptr[i + 1]):
-                producer = pred_idx[e]
-                producer_finish = finish_at[producer]
-                if producer_finish > earliest:
-                    earliest = producer_finish
-                if cores[producer] != core:
-                    comm = pred_comm[e]
-                    if dedicated:
-                        receive_cycles += comm
-                    else:  # shared-bus: the transfer serializes on the bus
-                        transfer_start = (
-                            bus_free_at
-                            if bus_free_at > producer_finish
-                            else producer_finish
-                        )
-                        transfer_finish = transfer_start + comm / bus_frequency
-                        bus_free_at = transfer_finish
-                        if transfer_finish > earliest:
-                            earliest = transfer_finish
-            compute = core_cycles[core][i]
-            duration = (compute + receive_cycles) / frequency
-            finish = earliest + duration
-            core_free_at[core] = finish
-            finish_at[i] = finish
-            entry_names.append(name)
-            entry_cores.append(core)
-            entry_starts.append(earliest)
-            entry_finishes.append(finish)
-            entry_compute.append(compute)
-            entry_receive.append(receive_cycles)
-            scheduled_count += 1
-
-            for e in range(succ_ptr[i], succ_ptr[i + 1]):
-                successor = succ_idx[e]
-                in_degree[successor] -= 1
-                if in_degree[successor] == 0:
-                    heappush(
-                        ready, (-priorities[successor], names[successor], successor)
-                    )
-
-        if scheduled_count != n:
-            raise ValueError("scheduling incomplete: graph contains a cycle")
+        # Rows go in task-index order: from_arrays sorts them by the
+        # unique (start, core, name) key, so input order is immaterial.
         return Schedule.from_arrays(
-            entry_names,
-            entry_cores,
-            entry_starts,
-            entry_finishes,
-            entry_compute,
-            entry_receive,
+            compiled.names,
+            cores,
+            starts,
+            finishes,
+            [core_cycles[core][i] for i, core in enumerate(cores)],
+            receive,
             self.num_cores,
             self._frequencies,
         )

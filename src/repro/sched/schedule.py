@@ -406,7 +406,12 @@ class Schedule:
                 )
         tolerance = 1e-9
         for core in range(self._num_cores):
-            entries = self.core_entries(core)
+            # A zero-length span (a duration absorbed by a late start)
+            # may share its start with the next task on the core.
+            entries = sorted(
+                self.core_entries(core),
+                key=lambda entry: (entry.start_s, entry.finish_s),
+            )
             for previous, current in zip(entries, entries[1:]):
                 if current.start_s < previous.finish_s - tolerance:
                     raise ValueError(

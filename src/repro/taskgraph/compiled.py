@@ -15,6 +15,10 @@ lowers the graph once into contiguous arrays:
   shared-bus serialization) are bit-for-bit reproducible;
 * ``bottom_levels`` — the list-scheduling priorities, precomputed once
   instead of per :class:`~repro.sched.list_scheduler.ListScheduler`;
+* ``schedule_order`` / ``schedule_steps`` — the list scheduler's static
+  pop order and, per step, the ``(producer, comm)`` pairs of the
+  task's incoming edges in insertion order (the one loop both
+  schedulers walk, see :mod:`repro.sched.list_scheduler`);
 * per-task register-set **bitmasks** — every distinct register gets one
   bit, so the Eq. (8) union over a core's tasks is a bitwise OR and the
   bit-cardinality query is a popcount-style sum over set bits.
@@ -28,6 +32,7 @@ process execution backend.
 
 from __future__ import annotations
 
+import heapq
 import operator
 import random
 from functools import reduce
@@ -64,6 +69,8 @@ class CompiledTaskGraph:
         "succ_comm",
         "topo_order",
         "bottom_levels",
+        "schedule_order",
+        "schedule_steps",
         "entry_indices",
         "exit_indices",
         "registers",
@@ -135,6 +142,29 @@ class CompiledTaskGraph:
         self.critical_path_cycles = max(
             (levels[i] for i in self.entry_indices), default=0
         )
+
+        # -- static list-scheduling order -----------------------------------
+        # The ready heap is keyed on (-bottom_level, name) and readiness
+        # only counts scheduled predecessors, so the pop order is the
+        # same for every mapping: walk the heap once, here.
+        in_degree = [pred_ptr[i + 1] - pred_ptr[i] for i in range(n)]
+        ready = [(-levels[i], names[i], i) for i in self.entry_indices]
+        heapq.heapify(ready)
+        steps = []
+        while ready:
+            i = heapq.heappop(ready)[2]
+            begin, end = pred_ptr[i], pred_ptr[i + 1]
+            steps.append((i, tuple(zip(pred_idx[begin:end], pred_comm[begin:end]))))
+            for successor in succ_idx[succ_ptr[i] : succ_ptr[i + 1]]:
+                in_degree[successor] -= 1
+                if in_degree[successor] == 0:
+                    heapq.heappush(
+                        ready, (-levels[successor], names[successor], successor)
+                    )
+        if len(steps) != n:
+            raise ValueError("scheduling incomplete: graph contains a cycle")
+        self.schedule_steps = tuple(steps)
+        self.schedule_order: Tuple[int, ...] = tuple(i for i, _ in steps)
 
         # -- register bitmasks ----------------------------------------------
         # Distinct registers get stable bit positions (sorted by name/bits,

@@ -14,6 +14,11 @@ manifest still marked running.  The CI ``e2e-store`` leg repeats the
 experiment with a real ``SIGKILL``-ed subprocess.
 """
 
+import base64
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import ExperimentProfile, run_table3
@@ -308,3 +313,58 @@ class TestMidCellResume:
         # stale intra-cell progress must go with the stale records.
         self._run_stored(stored, tiny_app)
         assert not checkpoint_path(tmp_path / "table3", 0).exists()
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints written while DesignPoint still carried its Schedule.
+# ---------------------------------------------------------------------------
+
+#: Cell 0 of ``TestMidCellResume``'s grid, killed after two durable
+#: appends, as written before design points dropped their ``schedule``
+#: field: every payload pickles a full :class:`Schedule`.
+LEGACY_CHECKPOINT = (
+    Path(__file__).parent / "fixtures" / "checkpoint-with-schedule.jsonl"
+)
+
+
+class TestLegacyCheckpoint:
+    def test_payloads_carry_schedules(self):
+        lines = LEGACY_CHECKPOINT.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            raw = base64.b64decode(json.loads(line)["payload"])
+            assert b"Schedule" in raw
+
+    def test_resumes_byte_identical(
+        self, tmp_path, tiny_profile, tiny_app, monkeypatch
+    ):
+        runs = TestMidCellResume()
+        reference = runs._reference(tiny_profile, tiny_app)
+        # A killed run leaves the store mid-grid; its cell-0 checkpoint
+        # is then replaced by the legacy one.
+        _arm_bomb(monkeypatch, after_records=2)
+        with pytest.raises(_MidCellKill):
+            runs._run_stored(tiny_profile.with_store(str(tmp_path)), tiny_app)
+        monkeypatch.undo()
+        partial = checkpoint_path(tmp_path / "table3", 0)
+        shutil.copyfile(LEGACY_CHECKPOINT, partial)
+
+        restored = []
+        original_restore = CellCheckpoint.restore
+
+        def recording_restore(self, position, sweep=0):
+            value = original_restore(self, position, sweep)
+            if value is not None:
+                restored.append(value)
+            return value
+
+        monkeypatch.setattr(CellCheckpoint, "restore", recording_restore)
+        resumed = tiny_profile.with_store(str(tmp_path), resume=True)
+        assert runs._run_stored(resumed, tiny_app) == reference
+        monkeypatch.undo()
+        # Both legacy positions were served, not silently recomputed,
+        # and loaded without the dropped field.
+        assert len(restored) == 2
+        for point, _ in restored:
+            assert point.makespan_s > 0
+            assert not hasattr(point, "schedule")

@@ -180,48 +180,53 @@ class TestVectorizedVsLoop:
 
 class TestSchedules:
     def test_schedules_skipped_by_default(self, mpeg2):
+        # Design points carry metrics only; schedules are built on
+        # demand through schedule_of.
         evaluator = _evaluator(mpeg2)
         points = evaluator.evaluate_batch(_sample(mpeg2, count=3), SCALING)
-        assert all(point.schedule is None for point in points)
+        assert all(not hasattr(point, "schedule") for point in points)
 
     def test_evaluate_rehydrates_batch_seeded_hits(self, mpeg2):
-        # evaluate()'s full-schedule guarantee survives batch seeding:
-        # a cache hit on a schedule-less point attaches the schedule
-        # without disturbing metrics or counters.
+        # A cache hit on a batch-seeded point stays a pure hit, and the
+        # point's on-demand schedule equals the scalar path's.
         evaluator = _evaluator(mpeg2)
         mappings = _sample(mpeg2, count=4)
         evaluator.evaluate_batch(mappings, SCALING)
         misses = evaluator.cache_misses
         point = evaluator.evaluate(mappings[0], SCALING)
         assert evaluator.cache_misses == misses  # still a pure hit
-        assert point.schedule is not None
-        point.schedule.verify(mpeg2, mappings[0])
-        reference = _evaluator(mpeg2).evaluate(mappings[0], SCALING)
+        schedule = evaluator.schedule_of(point)
+        schedule.verify(mpeg2, mappings[0])
+        reference_evaluator = _evaluator(mpeg2)
+        reference = reference_evaluator.evaluate(mappings[0], SCALING)
         assert point == reference
-        assert point.schedule.to_rows() == reference.schedule.to_rows()
-        # The rehydrated point replaces the cached one in place.
-        assert evaluator.evaluate(mappings[0], SCALING).schedule is not None
+        assert (
+            schedule.to_rows()
+            == reference_evaluator.schedule_of(reference).to_rows()
+        )
+        assert evaluator.schedule_of(point).makespan_s() == point.makespan_s
 
     def test_include_schedules_matches_serial(self, mpeg2):
         mappings = _sample(mpeg2, count=6)
         batch_evaluator = _evaluator(mpeg2)
         single_evaluator = _evaluator(mpeg2)
-        batch = batch_evaluator.evaluate_batch(
-            mappings, SCALING, include_schedules=True
-        )
+        batch = batch_evaluator.evaluate_batch(mappings, SCALING)
         for point, mapping in zip(batch, mappings):
             serial = single_evaluator.evaluate(mapping, SCALING)
-            assert point.schedule is not None
-            assert point.schedule.to_rows() == serial.schedule.to_rows()
-            point.schedule.verify(mpeg2, mapping)
+            schedule = batch_evaluator.schedule_of(point)
+            assert (
+                schedule.to_rows()
+                == single_evaluator.schedule_of(serial).to_rows()
+            )
+            schedule.verify(mpeg2, mapping)
 
 
 class TestRandomizedScalings:
     """Randomized mappings across scalings, incl. 0/1-sized batches.
 
     This is the suite CI re-runs with ``REPRO_VALIDATE_SCHEDULES=1``:
-    the include_schedules pass then routes every batched row through
-    the from_arrays validation checks.
+    every batched row is then also scheduled in full, through the
+    from_arrays validation checks, and must match its timings exactly.
     """
 
     @pytest.mark.parametrize("num_tasks,num_cores", [(15, 3), (40, 5)])
@@ -252,11 +257,12 @@ class TestRandomizedScalings:
                 single = MappingEvaluator(
                     graph, MPSoC.paper_reference(num_cores), deadline_s=deadline
                 )
-                batch = vec.evaluate_batch(
-                    mappings, scaling, include_schedules=True
-                )
+                batch = vec.evaluate_batch(mappings, scaling)
                 singles = [single.evaluate(m, scaling) for m in mappings]
                 assert batch == singles
                 assert vec.cache_info == single.cache_info
                 for fast, slow in zip(batch, singles):
-                    assert fast.schedule.to_rows() == slow.schedule.to_rows()
+                    assert (
+                        vec.schedule_of(fast).to_rows()
+                        == single.schedule_of(slow).to_rows()
+                    )

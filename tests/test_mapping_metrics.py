@@ -97,7 +97,9 @@ class TestMappingEvaluator:
         assert len(point.activities) == 4
         assert all(0 <= a <= 1 for a in point.activities)
         assert point.meets_deadline is not None
-        assert point.schedule is not None
+        schedule = mpeg2_evaluator.schedule_of(point)
+        assert schedule is not None
+        assert schedule.makespan_s() == point.makespan_s
 
     def test_gamma_scale_invariant_in_frequency(self, mpeg2_evaluator, rr_mapping4):
         # Full-window exposure in own cycles: Gamma depends on scaling

@@ -21,6 +21,10 @@ class TestRecovery:
     def point(self, mpeg2_evaluator, rr_mapping4):
         return mpeg2_evaluator.evaluate(rr_mapping4, (1, 1, 1, 1))
 
+    @pytest.fixture
+    def schedule(self, mpeg2_evaluator, point):
+        return mpeg2_evaluator.schedule_of(point)
+
     def test_slack_formula(self, point):
         slack = recovery_slack_s(point, MPEG2_DEADLINE_S)
         assert slack == pytest.approx(MPEG2_DEADLINE_S - point.makespan_s)
@@ -28,30 +32,30 @@ class TestRecovery:
     def test_slack_negative_when_late(self, point):
         assert recovery_slack_s(point, point.makespan_s / 2) < 0
 
-    def test_max_reexecutions_consistent(self, point):
-        count = max_reexecutions(point, MPEG2_DEADLINE_S)
-        worst = max(entry.duration_s for entry in point.schedule)
+    def test_max_reexecutions_consistent(self, point, schedule):
+        count = max_reexecutions(point, MPEG2_DEADLINE_S, schedule)
+        worst = max(entry.duration_s for entry in schedule)
         slack = MPEG2_DEADLINE_S - point.makespan_s
         assert count == int(slack / worst)
 
-    def test_no_reexecution_when_late(self, point):
-        assert max_reexecutions(point, point.makespan_s * 0.9) == 0
-        assert tolerable_task_set(point, point.makespan_s * 0.9) == []
+    def test_no_reexecution_when_late(self, point, schedule):
+        assert max_reexecutions(point, point.makespan_s * 0.9, schedule) == 0
+        assert tolerable_task_set(point, point.makespan_s * 0.9, schedule) == []
 
-    def test_tolerable_set_fits_slack(self, point):
-        tasks = tolerable_task_set(point, MPEG2_DEADLINE_S)
-        durations = {entry.name: entry.duration_s for entry in point.schedule}
+    def test_tolerable_set_fits_slack(self, point, schedule):
+        tasks = tolerable_task_set(point, MPEG2_DEADLINE_S, schedule)
+        durations = {entry.name: entry.duration_s for entry in schedule}
         total = sum(durations[name] for name in tasks)
         assert total <= recovery_slack_s(point, MPEG2_DEADLINE_S) + 1e-9
 
-    def test_tolerable_set_is_worst_first(self, point):
-        tasks = tolerable_task_set(point, MPEG2_DEADLINE_S)
-        durations = {entry.name: entry.duration_s for entry in point.schedule}
+    def test_tolerable_set_is_worst_first(self, point, schedule):
+        tasks = tolerable_task_set(point, MPEG2_DEADLINE_S, schedule)
+        durations = {entry.name: entry.duration_s for entry in schedule}
         values = [durations[name] for name in tasks]
         assert values == sorted(values, reverse=True)
 
-    def test_analyze_bundle(self, point):
-        analysis = analyze_recovery(point, MPEG2_DEADLINE_S)
+    def test_analyze_bundle(self, point, schedule):
+        analysis = analyze_recovery(point, MPEG2_DEADLINE_S, schedule)
         assert isinstance(analysis, RecoveryAnalysis)
         assert analysis.slack_s == pytest.approx(
             recovery_slack_s(point, MPEG2_DEADLINE_S)
@@ -66,11 +70,11 @@ class TestRecovery:
             recovery_slack_s(point, 0.0)
 
     def test_requires_schedule(self, point):
-        from dataclasses import replace
-
-        stripped = replace(point, schedule=None)
-        with pytest.raises(ValueError):
-            max_reexecutions(stripped, MPEG2_DEADLINE_S)
+        # Design points carry no schedule: the analysis takes it from
+        # MappingEvaluator.schedule_of as a required argument.
+        assert not hasattr(point, "schedule")
+        with pytest.raises(TypeError):
+            max_reexecutions(point, MPEG2_DEADLINE_S)
 
 
 def _two_transfer_graph() -> TaskGraph:
