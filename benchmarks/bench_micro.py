@@ -88,6 +88,26 @@ def test_bench_design_point_evaluation(benchmark, mpeg2):
     assert point.expected_seus > 0
 
 
+def test_bench_design_point_evaluation_miss_120_tasks(benchmark, graph120):
+    """The search loop's miss path: signature in, design point out.
+
+    Covers the lazy ``Mapping.from_signature``, the static-order kernel
+    and the bit-plane register sums on a graph with 1,000+ registers.
+    """
+    platform = MPSoC.paper_reference(6)
+    evaluator = MappingEvaluator(graph120, platform, cache_size=0)
+    mapping = Mapping.round_robin(graph120, 6)
+    signature, signature_hash = mapping.signature_info(graph120.compiled())
+    point = benchmark(
+        evaluator.evaluate_signature,
+        signature,
+        platform.scaling_vector(),
+        signature_hash=signature_hash,
+        template=mapping,
+    )
+    assert point == evaluator.evaluate(mapping)
+
+
 def test_bench_design_point_evaluation_cached(benchmark, mpeg2):
     """The LRU hit path: signature + OrderedDict bookkeeping only."""
     evaluator = MappingEvaluator(

@@ -5,6 +5,13 @@ processing cores.  Mappings are hashable and treated as values: the
 optimizers derive neighbours with :meth:`Mapping.move` and
 :meth:`Mapping.swap` rather than mutating in place, which keeps search
 bookkeeping (best-so-far, tabu sets, caches) trivially correct.
+
+Mappings built by :meth:`Mapping.from_signature` (the evaluator's
+cache-miss path) are *lazy*: they keep the dense signature and build
+the task-name assignment dict only when something reads it.  The
+search loop never does, so a miss costs a range check instead of an
+O(N) dict build; equality, hashing, pickling and ``core_groups()``
+order are those of the eagerly built mapping.
 """
 
 from __future__ import annotations
@@ -34,7 +41,14 @@ class Mapping:
         ``[0, num_cores)``.
     """
 
-    __slots__ = ("_assignment", "_num_cores", "_hash", "_sig_memo")
+    __slots__ = (
+        "_assignment",
+        "_num_cores",
+        "_hash",
+        "_sig_memo",
+        "_pending",
+        "_order_memo",
+    )
 
     def __init__(self, assignment: TMapping[str, int], num_cores: int) -> None:
         if num_cores <= 0:
@@ -53,6 +67,33 @@ class Mapping:
         self._num_cores = num_cores
         self._hash: Optional[int] = None
         self._sig_memo: Optional[Tuple[object, Tuple[int, ...], int]] = None
+        self._pending = None
+        self._order_memo = None
+
+    def __getattr__(self, name: str):
+        # Only reached for unset slots: a from_signature mapping's
+        # assignment, built here on first use.  ``_pending`` is never
+        # cleared, so threads racing on the first read each build the
+        # same dict instead of one of them finding it gone.
+        if name != "_assignment":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        assignment = self._build_assignment(*self._pending)
+        self._assignment = assignment
+        return assignment
+
+    @staticmethod
+    def _build_assignment(
+        keys: Tuple[str, ...],
+        signature: Tuple[int, ...],
+        order: Optional[Tuple[int, ...]],
+    ) -> Dict[str, int]:
+        """``keys[j] -> signature[order[j]]`` (``signature[j]`` when
+        ``order`` is ``None``), in ``keys`` order."""
+        if order is not None:
+            signature = map(signature.__getitem__, order)
+        return dict(zip(keys, signature))
 
     def __reduce__(self):
         # Pickle only the assignment + core count: the signature memo
@@ -247,18 +288,55 @@ class Mapping:
         order, and rendered artifacts (``core_groups`` listings) must
         not depend on whether a mapping came from the descriptor or
         the Mapping-based search loop.
+
+        Only the length and core range are checked here (C-level
+        ``min``/``max``); a valid signature yields a lazy mapping whose
+        assignment dict is built on first read.  An empty or
+        out-of-range signature goes through the constructor, so the
+        ``ValueError`` wording is the constructor's.
         """
         if len(signature) != len(names):
             raise ValueError(
                 f"signature has {len(signature)} entries for {len(names)} tasks"
             )
+        signature = tuple(signature)
+        names = tuple(names)
         if template is None:
-            return cls(dict(zip(names, signature)), num_cores)
-        index = {name: i for i, name in enumerate(names)}
-        return cls(
-            {name: signature[index[name]] for name in template._assignment},
-            num_cores,
-        )
+            keys, order = names, None
+        else:
+            keys, order = template._order_under(names)
+        if not signature or min(signature) < 0 or max(signature) >= num_cores:
+            # The constructor raises with its usual wording.
+            return cls(cls._build_assignment(keys, signature, order), num_cores)
+        mapping = cls.__new__(cls)
+        mapping._num_cores = num_cores
+        mapping._hash = None
+        mapping._sig_memo = None
+        mapping._pending = (keys, signature, order)
+        mapping._order_memo = None
+        return mapping
+
+    def _order_under(
+        self, names: Tuple[str, ...]
+    ) -> Tuple[Tuple[str, ...], Optional[Tuple[int, ...]]]:
+        """This mapping's task order and its positions in ``names``.
+
+        Returns ``(keys, order)``: ``keys`` are this mapping's tasks in
+        insertion order and ``order[j]`` is the position of ``keys[j]``
+        in ``names`` (``None`` when the two orders agree).  Memoized
+        per ``names`` object, so a template pays the O(N) index walk
+        once, not on every :meth:`from_signature` call.
+        """
+        memo = self._order_memo
+        if memo is not None and memo[0] is names:
+            return memo[1], memo[2]
+        keys = tuple(self._assignment)
+        order: Optional[Tuple[int, ...]] = None
+        if keys != names:
+            index = {name: i for i, name in enumerate(names)}
+            order = tuple([index[name] for name in keys])
+        self._order_memo = (names, keys, order)
+        return keys, order
 
     @classmethod
     def round_robin(cls, graph: TaskGraph, num_cores: int) -> "Mapping":

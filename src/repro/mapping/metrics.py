@@ -614,10 +614,12 @@ class MappingEvaluator:
         materialized :class:`Mapping` objects; this entry point probes
         the same LRU cache with the same key content (so the two paths
         interoperate hit-for-hit) without the per-neighbour O(N)
-        signature walk.  A ``Mapping`` is only built on a cache miss —
-        the authoritative evaluation needs one anyway — with
-        ``template`` supplying the task insertion order so rendered
-        artifacts match the Mapping-based walk's byte for byte.
+        signature walk.  A cache miss wraps the signature in a lazy
+        :meth:`Mapping.from_signature` mapping for the
+        :class:`DesignPoint` — its assignment dict is only built if
+        something reads it — with ``template`` supplying the task
+        insertion order so rendered artifacts match the Mapping-based
+        walk's byte for byte.
         Counters (``evaluations``/``cache_hits``/``cache_misses``), LRU
         traffic and the schedule-free miss path are exactly
         :meth:`evaluate`'s.

@@ -20,8 +20,14 @@ lowers the graph once into contiguous arrays:
   task's incoming edges in insertion order (the one loop both
   schedulers walk, see :mod:`repro.sched.list_scheduler`);
 * per-task register-set **bitmasks** — every distinct register gets one
-  bit, so the Eq. (8) union over a core's tasks is a bitwise OR and the
-  bit-cardinality query is a popcount-style sum over set bits.
+  bit, so the Eq. (8) union over a core's tasks is a bitwise OR;
+* register-width **bit planes** — the bit-cardinality query is a
+  weighted popcount: with every width divided by their gcd ``g``,
+  plane ``k`` marks the registers whose reduced width has bit ``k``
+  set, and ``R(mask) = g * sum((mask & plane_k).bit_count() << k)``.
+  Exact integer arithmetic, with a cost set by the number of planes
+  (at most the bit length of the widest reduced width), not by the
+  number of registers in the mask.
 
 The view is immutable and cached on the graph (see
 :meth:`~repro.taskgraph.graph.TaskGraph.compiled`); any graph mutation
@@ -33,6 +39,7 @@ process execution backend.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 import random
 from functools import reduce
@@ -76,9 +83,10 @@ class CompiledTaskGraph:
         "registers",
         "register_bits",
         "task_register_masks",
+        "register_unit",
+        "register_planes",
         "total_cycles",
         "critical_path_cycles",
-        "_mask_bits_cache",
         "_signature_tables",
         "_scaled_cycles_cache",
     )
@@ -187,7 +195,22 @@ class CompiledTaskGraph:
                 mask |= 1 << position[register]
             masks.append(mask)
         self.task_register_masks: Tuple[int, ...] = tuple(masks)
-        self._mask_bits_cache: Dict[int, int] = {0: 0}
+
+        # -- Eq. (8) bit planes ---------------------------------------------
+        # Dividing by the gcd first drops the planes every width shares
+        # (MPEG-2's multiples of 40 need 8 planes instead of 11).
+        unit = reduce(math.gcd, self.register_bits, 0) or 1
+        reduced = [bits // unit for bits in self.register_bits]
+        planes: List[Tuple[int, int]] = []
+        for k in range(max(reduced, default=0).bit_length()):
+            plane = 0
+            for position, width in enumerate(reduced):
+                if width >> k & 1:
+                    plane |= 1 << position
+            if plane:
+                planes.append((k, plane))
+        self.register_unit: int = unit
+        self.register_planes: Tuple[Tuple[int, int], ...] = tuple(planes)
         self._signature_tables: Dict[int, List[Tuple[int, ...]]] = {}
         self._scaled_cycles_cache: Dict[float, Tuple[int, ...]] = {}
 
@@ -227,24 +250,13 @@ class CompiledTaskGraph:
     def mask_bits(self, mask: int) -> int:
         """Bit-cardinality of a register mask: Eq. (8)'s ``R_i`` in bits.
 
-        Memoized — mapping search revisits the same per-core unions
-        constantly.
+        The bit-plane weighted popcount (see the module docstring):
+        one ``bit_count`` per plane, whatever the mask's size.
         """
-        cached = self._mask_bits_cache.get(mask)
-        if cached is not None:
-            return cached
-        bits = 0
-        register_bits = self.register_bits
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            bits += register_bits[low.bit_length() - 1]
-            remaining ^= low
-        if len(self._mask_bits_cache) > 1 << 16:  # unbounded search safety valve
-            self._mask_bits_cache.clear()
-            self._mask_bits_cache[0] = 0
-        self._mask_bits_cache[mask] = bits
-        return bits
+        total = 0
+        for k, plane in self.register_planes:
+            total += (mask & plane).bit_count() << k
+        return self.register_unit * total
 
     def union_bits(self, task_indices: Sequence[int]) -> int:
         """``R_i`` for a core holding exactly ``task_indices``."""

@@ -30,7 +30,9 @@ class Register:
     name:
         Unique identifier (e.g. ``"r4"`` or ``"mpeg.idct_coeff"``).
     bits:
-        Size of the block in bits.
+        Size of the block in bits: a positive ``int`` (``bool`` and
+        non-integral sizes are rejected, so graph payloads fail here
+        rather than inside the compiled bit planes).
     """
 
     name: str
@@ -39,6 +41,10 @@ class Register:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("register name must be non-empty")
+        if isinstance(self.bits, bool) or not isinstance(self.bits, int):
+            raise ValueError(
+                f"register size must be an int, got {self.bits!r}"
+            )
         if self.bits <= 0:
             raise ValueError(f"register size must be positive, got {self.bits}")
 

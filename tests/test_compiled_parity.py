@@ -9,15 +9,19 @@ graphs, mappings, scalings and both communication models and assert
 exact equality — no tolerances.
 """
 
+import math
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch import MPSoC
 from repro.mapping import Mapping, MappingEvaluator
 from repro.sched import ListScheduler
 from repro.taskgraph import (
     RandomGraphConfig,
+    TaskGraph,
     fork_join_graph,
     layered_graph,
     mpeg2_decoder,
@@ -26,6 +30,7 @@ from repro.taskgraph import (
 )
 from repro.taskgraph.examples import fig8_example
 from repro.taskgraph.mpeg2 import MPEG2_DEADLINE_S
+from repro.taskgraph.registers import Register
 
 POINT_FIELDS = (
     "scaling",
@@ -97,6 +102,60 @@ class TestCompiledGraphStructure:
             subset = rng.sample(names, rng.randrange(1, len(names) + 1))
             indices = [compiled.index[name] for name in subset]
             assert compiled.union_bits(indices) == register_map.union_bits(subset)
+
+    def test_mask_zero_has_no_bits(self, mpeg2):
+        compiled = mpeg2.compiled()
+        assert compiled.mask_bits(0) == 0
+        assert compiled.union_bits([]) == 0
+
+    def test_bit_planes_on_a_large_register_set(self):
+        """100 tasks, more than 1,000 registers: planes vs the oracle."""
+        graph = random_task_graph(RandomGraphConfig(num_tasks=100), seed=100)
+        compiled = graph.compiled()
+        assert len(compiled.registers) > 1000
+        register_map = graph.register_map()
+        rng = random.Random(7)
+        names = list(graph.task_names())
+        for _ in range(40):
+            subset = rng.sample(names, rng.randrange(1, len(names) + 1))
+            indices = [compiled.index[name] for name in subset]
+            assert compiled.union_bits(indices) == register_map.union_bits(subset)
+        cores = [rng.randrange(6) for _ in names]
+        for core, mask in enumerate(compiled.core_masks(cores, 6)):
+            on_core = [name for name, c in zip(names, cores) if c == core]
+            assert compiled.mask_bits(mask) == register_map.union_bits(on_core)
+
+    @given(
+        unit=st.sampled_from([1, 2, 40, 3 * 2**20]),
+        widths=st.lists(
+            st.integers(min_value=1, max_value=2**40), min_size=1, max_size=30
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_planes_match_register_map(self, unit, widths, data):
+        """Widths up to 2**40, with and without a shared gcd above 1."""
+        widths = [max(1, width // unit) * unit for width in widths]
+        registers = [Register(f"r{i}", width) for i, width in enumerate(widths)]
+        graph = TaskGraph(name="planes")
+        num_tasks = data.draw(st.integers(min_value=1, max_value=8))
+        for t in range(num_tasks):
+            graph.add_task(
+                f"t{t}",
+                cycles=1,
+                registers=data.draw(st.lists(st.sampled_from(registers))),
+            )
+        compiled = graph.compiled()
+        register_map = graph.register_map()
+        if compiled.register_bits:
+            gcd = reduce(math.gcd, compiled.register_bits)
+            assert compiled.register_unit == gcd and gcd % unit == 0
+        subset = data.draw(st.lists(st.sampled_from(graph.task_names()), unique=True))
+        indices = [compiled.index[name] for name in subset]
+        assert compiled.union_bits(indices) == register_map.union_bits(subset)
+        everything = (1 << len(compiled.registers)) - 1
+        assert compiled.mask_bits(everything) == register_map.total_bits()
+        assert compiled.mask_bits(0) == 0
 
     def test_cached_and_invalidated_on_mutation(self, mpeg2):
         first = mpeg2.compiled()

@@ -1,8 +1,26 @@
 """Tests for the Mapping value type."""
 
+import pickle
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.mapping import Mapping
+
+NAMES = tuple(f"t{i}" for i in range(12))
+
+
+def _eager(names, signature, num_cores, template=None):
+    """The assignment ``from_signature`` stands for, built eagerly."""
+    if template is None:
+        return Mapping(dict(zip(names, signature)), num_cores)
+    position = {name: i for i, name in enumerate(names)}
+    return Mapping(
+        {name: signature[position[name]] for name in template.as_dict()},
+        num_cores,
+    )
 
 
 class TestConstruction:
@@ -137,3 +155,120 @@ class TestValidation:
         assignment["ghost"] = 1
         with pytest.raises(ValueError, match="unknown"):
             Mapping(assignment, 2).validate_against(pipeline6)
+
+
+class TestFromSignature:
+    """Lazily built signature mappings behave as eagerly built ones."""
+
+    def _templates(self, rng):
+        shuffled = list(NAMES)
+        rng.shuffle(shuffled)
+        lazy = Mapping.from_signature(NAMES[::-1], (0,) * len(NAMES), 2)
+        return [
+            None,
+            Mapping({name: 0 for name in NAMES}, 1),
+            Mapping({name: 0 for name in shuffled}, 1),
+            lazy,
+        ]
+
+    def test_matches_eager_mapping(self):
+        rng = random.Random(5)
+        for template in self._templates(rng):
+            for _ in range(20):
+                num_cores = rng.randrange(1, 5)
+                signature = tuple(rng.randrange(num_cores) for _ in NAMES)
+                lazy = Mapping.from_signature(
+                    NAMES, signature, num_cores, template=template
+                )
+                eager = _eager(NAMES, signature, num_cores, template)
+                assert lazy == eager and eager == lazy
+                assert hash(lazy) == hash(eager)
+                assert pickle.dumps(lazy) == pickle.dumps(eager)
+                assert lazy.core_groups() == eager.core_groups()
+                assert pickle.loads(pickle.dumps(lazy)) == eager
+
+    def test_each_read_builds_the_same_assignment(self):
+        signature = (1, 0, 2) * 4
+        template = Mapping({name: 0 for name in reversed(NAMES)}, 1)
+        eager = _eager(NAMES, signature, 3, template)
+        reads = (
+            lambda m: m.core_groups(),
+            lambda m: m.as_dict(),
+            lambda m: list(m),
+            len,
+            hash,
+            repr,
+            lambda m: m.core_of("t5"),
+            lambda m: m.move("t0", 2),
+            lambda m: m.core_index_list(NAMES),
+        )
+        for read in reads:
+            lazy = Mapping.from_signature(NAMES, signature, 3, template=template)
+            assert read(lazy) == read(eager)
+            assert lazy.num_cores == 3
+        with pytest.raises(AttributeError, match="no attribute 'ghost'"):
+            lazy.ghost
+
+    def test_concurrent_first_reads_agree(self):
+        signature = (2, 0, 1) * 4
+        template = Mapping({name: 0 for name in reversed(NAMES)}, 1)
+        eager = _eager(NAMES, signature, 3, template)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                lazy = Mapping.from_signature(NAMES, signature, 3, template=template)
+                seen = []
+                barrier = threading.Barrier(8)
+
+                def read(lazy=lazy, seen=seen, barrier=barrier):
+                    barrier.wait(timeout=10)
+                    seen.append(lazy.core_groups())
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert seen == [eager.core_groups()] * 8
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_template_order_reused_across_calls(self):
+        template = Mapping({name: 0 for name in reversed(NAMES)}, 1)
+        first = Mapping.from_signature(NAMES, (0,) * 12, 2, template=template)
+        second = Mapping.from_signature(NAMES, (1,) * 12, 2, template=template)
+        assert list(first) == list(second) == list(reversed(NAMES))
+        # A names sequence the template does not cover fails at call time.
+        with pytest.raises(KeyError):
+            Mapping.from_signature(NAMES[:-1], (0,) * 11, 2, template=template)
+
+    @pytest.mark.parametrize(
+        "names, signature, num_cores",
+        [
+            ((), (), 2),
+            (NAMES[:3], (0, -1, 1), 2),
+            (NAMES[:3], (0, 2, 1), 2),
+            (NAMES[:3], (3, 7, 1), 2),
+            (NAMES[:3], (0, 0, 0), 0),
+        ],
+    )
+    @pytest.mark.parametrize("with_template", [False, True])
+    def test_invalid_signature_raises_like_constructor(
+        self, names, signature, num_cores, with_template
+    ):
+        template = (
+            Mapping({name: 0 for name in reversed(names)}, 1)
+            if with_template and names
+            else None
+        )
+        with pytest.raises(ValueError) as expected:
+            _eager(names, signature, num_cores, template)
+        with pytest.raises(ValueError) as raised:
+            Mapping.from_signature(names, signature, num_cores, template=template)
+        assert str(raised.value) == str(expected.value)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="signature has 2 entries for 3"):
+            Mapping.from_signature(NAMES[:3], (0, 1), 2)

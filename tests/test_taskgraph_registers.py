@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.taskgraph import pipeline_graph
 from repro.taskgraph.registers import Register, RegisterMap
+from repro.taskgraph.serialize import graph_from_dict, graph_to_dict
 
 
 def simple_map() -> RegisterMap:
@@ -26,6 +28,17 @@ class TestRegister:
     def test_rejects_non_positive_size(self, bits):
         with pytest.raises(ValueError):
             Register("r", bits)
+
+    @pytest.mark.parametrize("bits", [1200.5, 8.0, True, False, "8", None])
+    def test_rejects_non_int_size(self, bits):
+        with pytest.raises(ValueError, match="must be an int"):
+            Register("r", bits)
+
+    def test_graph_payload_fails_at_the_boundary(self):
+        payload = graph_to_dict(pipeline_graph(3))
+        payload["registers"][next(iter(payload["registers"]))] = 1200.5
+        with pytest.raises(ValueError, match="must be an int"):
+            graph_from_dict(payload)
 
     def test_value_semantics(self):
         assert Register("r", 8) == Register("r", 8)

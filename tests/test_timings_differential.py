@@ -9,7 +9,8 @@ same list schedule agreeing *exactly*:
   :class:`~repro.sched.schedule.Schedule`;
 * ``ListScheduler.schedule_reference`` — the seed heap walk;
 * ``MappingEvaluator.evaluate`` vs ``evaluate_reference`` vs
-  ``evaluate_batch`` — the design points built on top.
+  ``evaluate_batch`` vs ``evaluate_signature`` — the design points
+  built on top (the last one with a lazily built mapping).
 
 Hypothesis draws graphs, mappings (idle cores included), homogeneous
 and heterogeneous platforms, scalings and both communication models.
@@ -153,8 +154,17 @@ def _check_case(graph, platform, mapping, scaling, comm_model, deadline):
         graph, platform, deadline_s=deadline, comm_model=comm_model
     )
     (batch_point,) = batch_evaluator.evaluate_batch([mapping], scaling)
+    # The signature path's miss builds a lazy mapping from the template.
+    signature_evaluator = MappingEvaluator(
+        graph, platform, deadline_s=deadline, comm_model=comm_model
+    )
+    signature_point = signature_evaluator.evaluate_signature(
+        cores, scaling, num_cores=platform.num_cores, template=mapping
+    )
     _assert_points_equal(point, seed_point)
     _assert_points_equal(point, batch_point)
+    _assert_points_equal(point, signature_point)
+    assert signature_point.mapping.core_groups() == mapping.core_groups()
     # The fast constructor fills exactly the dataclass fields.
     assert point == seed_point and hash(point) == hash(seed_point)
     assert vars(point).keys() == {f.name for f in dataclasses.fields(point)}
