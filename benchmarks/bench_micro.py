@@ -11,7 +11,7 @@ import pytest
 from repro.arch import MPSoC
 from repro.arch.platform import platform_model
 from repro.arch.technode import TechNode
-from repro.exec import DagExecutor, RetryPolicy, SerialTransport
+from repro.exec import DagExecutor, RetryPolicy, SerialTransport, executor_scope
 from repro.faults import FaultInjector, SERModel
 from repro.mapping import IncrementalMappingState, Mapping, MappingEvaluator
 from repro.mapping.enumeration import stratified_mappings
@@ -212,7 +212,7 @@ def test_bench_sa_inner_loop_reference(benchmark, graph120):
 
 
 def test_bench_design_optimizer_sweep(benchmark, mpeg2):
-    """A full (trimmed) Fig. 4 sweep on the serial reference backend."""
+    """A full (trimmed) Fig. 4 sweep on the serial reference path."""
 
     def _sweep():
         optimizer = DesignOptimizer(
@@ -229,12 +229,13 @@ def test_bench_design_optimizer_sweep(benchmark, mpeg2):
     assert outcome.best is not None
 
 
-def test_bench_design_optimizer_sweep_auto_backend(benchmark, mpeg2):
-    """The same sweep on the auto-selected execution backend.
+def test_bench_design_optimizer_sweep_dag(benchmark, mpeg2):
+    """The same sweep on a ``DagExecutor.from_spec("auto")`` executor.
 
     Identical selected design by the exec determinism contract; on a
     multi-core machine this row tracks the parallel speedup over the
-    serial sweep above (on a single-core box auto degrades to serial).
+    serial sweep above (on a single-core box auto runs leaves inline).
+    The executor (and its pool) is built once, as under the CLI.
     """
 
     def _sweep():
@@ -245,15 +246,16 @@ def test_bench_design_optimizer_sweep_auto_backend(benchmark, mpeg2):
             mapper=sea_mapper(search_iterations=150),
             stop_after_feasible=3,
             seed=0,
-            backend="auto",
         )
-        return optimizer.optimize()
+        with executor_scope(executor):
+            return optimizer.optimize()
 
-    outcome = benchmark.pedantic(_sweep, rounds=3, iterations=1)
+    with DagExecutor.from_spec("auto") as executor:
+        outcome = benchmark.pedantic(_sweep, rounds=3, iterations=1)
     assert outcome.best is not None
 
 
-def _restart_sweep(graph60, backend):
+def _restart_sweep(graph60, executor=None):
     evaluator = MappingEvaluator(
         graph60,
         MPSoC.paper_reference(6),
@@ -266,27 +268,28 @@ def _restart_sweep(graph60, backend):
         seed=0,
         deadline_penalty=True,
         require_all_cores=True,
-        backend=backend,
     )
-    return mapper.run(Mapping.round_robin(graph60, 6), (2,) * 6)
+    with executor_scope(executor):
+        return mapper.run(Mapping.round_robin(graph60, 6), (2,) * 6)
 
 
 def test_bench_sa_restart_sweep_serial(benchmark, graph60):
     """Four independent annealing restarts on the serial reference path."""
-    point = benchmark.pedantic(_restart_sweep, args=(graph60, None), rounds=3, iterations=1)
+    point = benchmark.pedantic(_restart_sweep, args=(graph60,), rounds=3, iterations=1)
     assert point.expected_seus > 0
 
 
-def test_bench_sa_restart_sweep_auto_backend(benchmark, graph60):
-    """The same restarts dispatched through the auto-selected backend.
+def test_bench_sa_restart_sweep_dag(benchmark, graph60):
+    """The same restarts as leaves on a ``DagExecutor.from_spec("auto")``.
 
     Bit-identical selected design by the restart determinism contract;
     on a multi-core machine this row tracks the restart-level speedup
-    over the serial sweep above (single-core boxes degrade to serial).
+    over the serial sweep above (single-core boxes run leaves inline).
     """
-    point = benchmark.pedantic(
-        _restart_sweep, args=(graph60, "auto"), rounds=3, iterations=1
-    )
+    with DagExecutor.from_spec("auto") as executor:
+        point = benchmark.pedantic(
+            _restart_sweep, args=(graph60, executor), rounds=3, iterations=1
+        )
     assert point.expected_seus > 0
 
 
@@ -344,15 +347,13 @@ def test_bench_initial_sea_mapping(benchmark, graph60):
     assert mapping.num_tasks == 60
 
 
-def _grid_fanout(plan):
-    """One tiny table3 grid (2 cells, full sweep) under an execution plan.
+def _grid_fanout():
+    """One tiny table3 grid (2 cells, full sweep) on ``dag:process``.
 
-    ``stop_after_feasible=None`` makes the total work identical on
-    every plan, so the rows compare pure dispatch: the legacy cell
-    fan-out parks two of the four workers (2 cells, nothing to steal),
-    while the DAG plan feeds all four from the flattened restart /
-    scaling leaves.  Reports are byte-identical across plans — only
-    these timings differ.
+    ``stop_after_feasible=None`` fixes the total work; the executor
+    feeds all four workers from the flattened restart / scaling
+    leaves.  The report is byte-identical to a serial run — only the
+    timing differs.
     """
     profile = ExperimentProfile(
         name="bench-grid",
@@ -361,36 +362,21 @@ def _grid_fanout(plan):
         stop_after_feasible=None,
         seed=0,
         exec_max_workers=4,  # oversubscribed on small CI boxes, by design
+        exec_plan="dag:process",
     )
-    if plan == "dag":
-        profile = profile.with_exec_plan("dag:process")
-    elif plan == "cells":
-        # The deprecated per-cut pool, kept as the comparison baseline.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            profile = profile.with_backend(experiment_backend="process")
     config = RandomGraphConfig(num_tasks=10)
     graph = random_task_graph(config, seed=7)
     applications = [("bench", graph, config.deadline_s)]
     return run_table3(profile, core_counts=(2, 3), applications=applications)
 
 
-def test_bench_grid_fanout_cells(benchmark):
-    """The PR 2 cell-level fan-out: one process per whole cell."""
-    result = benchmark.pedantic(_grid_fanout, args=("cells",), rounds=2, iterations=1)
-    assert result.apps() == ["bench"]
-
-
 def test_bench_grid_fanout_dag(benchmark):
-    """The unified DAG executor on the same grid (gated row).
+    """The unified DAG executor on a tiny grid (gated row).
 
-    The acceptance headline: on a multi-core runner this row must beat
-    ``grid_fanout_cells`` because idle workers steal inner leaves; the
-    regression gate tracks it against the committed baseline.
+    Idle workers steal inner leaves from either cell; the regression
+    gate tracks this row against the committed baseline.
     """
-    result = benchmark.pedantic(_grid_fanout, args=("dag",), rounds=2, iterations=1)
+    result = benchmark.pedantic(_grid_fanout, rounds=2, iterations=1)
     assert result.apps() == ["bench"]
 
 

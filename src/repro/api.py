@@ -664,15 +664,18 @@ def execute_run(
     even experiments that never open a grid ship their leaves through
     it) unless an ambient executor scope is already active — the
     service's job workers open one per job, nested grids reuse it.
-    The CLI ``experiment`` subcommand and the service both call this;
-    neither duplicates the scope logic.
+    Any other plan runs with that scope masked, so a serial profile
+    stays serial wherever it is executed.  The CLI ``experiment``
+    subcommand and the service both call this; neither duplicates the
+    scope logic.
     """
-    profile = profile or ExperimentProfile.fast()
-    if not profile.uses_dag_executor():
-        result, report = run_experiment(experiment_id, profile)
-        return RunOutcome(result, report, None)
     from repro.exec.dag import DagExecutor, current_executor, executor_scope
 
+    profile = profile or ExperimentProfile.fast()
+    if not profile.uses_dag_executor():
+        with executor_scope(None):
+            result, report = run_experiment(experiment_id, profile)
+        return RunOutcome(result, report, None)
     ambient = current_executor()
     if ambient is not None:
         result, report = run_experiment(experiment_id, profile)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import replace
 from typing import List, Optional
 
@@ -78,41 +77,9 @@ def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
             "execution plan: 'dag' (or dag:serial/dag:thread/dag:process/"
             "dag:auto to pin the transport) runs cells, annealing restarts "
             "and scaling sweeps on ONE shared work-stealing pool so idle "
-            "workers steal inner work from any cell; 'percut' keeps the "
-            "legacy per-cut backends below; reports are byte-identical "
-            "either way (default: percut via the per-cut flags)"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["serial", "thread", "process", "auto"],
-        default="serial",
-        help=(
-            "[deprecated: prefer --exec-plan dag] execution backend for the "
-            "scaling sweeps; any choice selects the identical designs, "
-            "parallel ones just run faster on multi-core machines "
+            "workers steal inner work from any cell; 'percut' is an alias "
+            "of the serial default; reports are byte-identical either way "
             "(default: serial)"
-        ),
-    )
-    parser.add_argument(
-        "--experiment-backend",
-        choices=["serial", "thread", "process", "auto"],
-        default="serial",
-        help=(
-            "[deprecated: prefer --exec-plan dag] execution backend for "
-            "fanning out whole experiment cells (table3's app x core-count "
-            "grid, fig10's core-count pairs); reports stay byte-identical "
-            "to serial runs (default: serial)"
-        ),
-    )
-    parser.add_argument(
-        "--restart-backend",
-        choices=["serial", "thread", "process", "auto"],
-        default="serial",
-        help=(
-            "[deprecated: prefer --exec-plan dag] execution backend for "
-            "annealing restarts inside one scaling's mapping search; "
-            "selections stay bit-identical (default: serial)"
         ),
     )
     parser.add_argument(
@@ -129,7 +96,7 @@ def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help=(
-            "pool size cap for parallel backends "
+            "worker cap of the --exec-plan dag pool "
             "(default: the machine's CPU count)"
         ),
     )
@@ -183,91 +150,49 @@ def _profile_from(args: argparse.Namespace) -> ExperimentProfile:
         profile = ExperimentProfile.fast(seed=args.seed)
     platform = getattr(args, "platform", None)
     tech_node = getattr(args, "tech_node", None)
-    if platform is not None or tech_node is not None:
-        try:
-            profile = profile.with_platform(platform=platform, tech_node=tech_node)
-        except ValueError as exc:
-            raise SystemExit(f"repro-seu: error: {exc}")
-    backend = getattr(args, "backend", "serial")
-    experiment_backend = getattr(args, "experiment_backend", "serial")
-    restart_backend = getattr(args, "restart_backend", "serial")
     exec_plan = getattr(args, "exec_plan", None)
-    if (
-        exec_plan is not None
-        and exec_plan.startswith("dag")
-        and (backend, experiment_backend, restart_backend) != ("serial",) * 3
-    ):
-        # Fail fast here with flag names (the profile validator would
-        # catch it too, but speaks in field names).
-        raise SystemExit(
-            "repro-seu: error: --exec-plan dag* conflicts with the "
-            "deprecated per-cut flags (--backend/--experiment-backend/"
-            "--restart-backend); the unified executor owns all parallel "
-            "cuts — drop the per-cut flags or use --exec-plan percut"
-        )
-    used = [
-        flag
-        for flag, value in (
-            ("--backend", backend),
-            ("--experiment-backend", experiment_backend),
-            ("--restart-backend", restart_backend),
-        )
-        if value != "serial"
-    ]
-    if used:
-        warnings.warn(
-            f"{'/'.join(used)} select per-cut pools, which are deprecated; "
-            "use --exec-plan dag (one shared work-stealing pool, "
-            "byte-identical reports)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    with warnings.catch_warnings():
-        if used:
-            # Every profile copy below re-warns about the same knobs in
-            # field-name terms; the flag-name warning above is the one
-            # CLI-facing warning.
-            warnings.simplefilter("ignore", DeprecationWarning)
-        if used:
-            profile = profile.with_backend(
-                exec_backend=backend,
-                experiment_backend=experiment_backend,
-                restart_backend=restart_backend,
-            )
+    restarts = getattr(args, "restarts", None)
+    max_workers = getattr(args, "max_workers", None)
+    # Each profile copy re-validates (unknown presets/nodes, worker caps
+    # and restart counts below 1): usage errors, not tracebacks from
+    # deep inside a run.
+    try:
+        if platform is not None or tech_node is not None:
+            profile = profile.with_platform(platform=platform, tech_node=tech_node)
         if exec_plan is not None:
             profile = profile.with_exec_plan(exec_plan)
-        restarts = getattr(args, "restarts", None)
         if restarts is not None:
             profile = replace(profile, sa_restarts=restarts)
-        max_workers = getattr(args, "max_workers", None)
         if max_workers is not None:
             profile = profile.with_max_workers(max_workers)
-        batch_eval = getattr(args, "batch_eval", 0)
-        screen_moves = getattr(args, "screen_moves", "off")
-        if batch_eval < 0:
-            raise SystemExit(
-                "repro-seu: error: --batch-eval must be non-negative"
-            )
-        if batch_eval and screen_moves != "off":
-            # Fail fast and unconditionally: with "auto" the conflict
-            # would otherwise only surface on the first >=100-task
-            # graph, aborting a mixed-size sweep partway through.
-            raise SystemExit(
-                "repro-seu: error: --batch-eval and --screen-moves are "
-                "mutually exclusive"
-            )
-        if batch_eval:
-            profile = replace(profile, batch_eval=batch_eval)
-        if screen_moves != "off":
-            profile = replace(
-                profile, screen_moves=True if screen_moves == "on" else "auto"
-            )
-        store_dir = getattr(args, "store_dir", None)
-        resume = getattr(args, "resume", False)
-        if resume and store_dir is None:
-            raise SystemExit("repro-seu: error: --resume requires --store-dir")
-        if store_dir is not None:
-            profile = profile.with_store(store_dir, resume=resume)
+    except ValueError as exc:
+        raise SystemExit(f"repro-seu: error: {exc}")
+    batch_eval = getattr(args, "batch_eval", 0)
+    screen_moves = getattr(args, "screen_moves", "off")
+    if batch_eval < 0:
+        raise SystemExit(
+            "repro-seu: error: --batch-eval must be non-negative"
+        )
+    if batch_eval and screen_moves != "off":
+        # Fail fast and unconditionally: with "auto" the conflict
+        # would otherwise only surface on the first >=100-task graph,
+        # aborting a mixed-size sweep partway through.
+        raise SystemExit(
+            "repro-seu: error: --batch-eval and --screen-moves are "
+            "mutually exclusive"
+        )
+    if batch_eval:
+        profile = replace(profile, batch_eval=batch_eval)
+    if screen_moves != "off":
+        profile = replace(
+            profile, screen_moves=True if screen_moves == "on" else "auto"
+        )
+    store_dir = getattr(args, "store_dir", None)
+    resume = getattr(args, "resume", False)
+    if resume and store_dir is None:
+        raise SystemExit("repro-seu: error: --resume requires --store-dir")
+    if store_dir is not None:
+        profile = profile.with_store(store_dir, resume=resume)
     return profile
 
 
@@ -586,9 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point."""
-    # Python hides DeprecationWarning outside __main__ by default; the
-    # per-cut flag deprecations must reach CLI users' stderr.
-    warnings.filterwarnings("default", category=DeprecationWarning)
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

@@ -1,37 +1,27 @@
 """Parallel execution substrate for design-space sweeps.
 
-See :mod:`repro.exec.backends` for the per-cut backend
-implementations and the determinism contract, and
-:mod:`repro.exec.dag` for the unified work-stealing DAG executor that
-flattens experiment cells, annealing restarts and scaling assessments
-into one shared worker pool.
+:mod:`repro.exec.dag` is the one dispatch layer: a work-stealing DAG
+executor that flattens experiment cells, annealing restarts and
+scaling assessments into one shared worker pool, reached through the
+thread-local :func:`executor_scope` / :func:`current_executor` pair.
 :meth:`repro.optim.design_optimizer.DesignOptimizer.optimize` is the
-canonical consumer: independent work items are assessed concurrently
-with the same per-item seeds as the serial loop, and the serial
-selection/early-exit policies are replayed over the ordered results,
-so serial and parallel sweeps select the identical design.
+canonical consumer: with an executor in scope, independent work items
+are assessed concurrently with the same per-item seeds as the serial
+loop, and the serial selection/early-exit policies are replayed over
+the ordered results, so serial and parallel sweeps select the
+identical design.
 """
 
-from repro.exec.backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    payload_picklable,
-    resolve_backend,
-)
 from repro.exec.dag import (
     TRANSPORT_NAMES,
     DagExecutor,
     ExecutorStats,
     PoolTransport,
     SerialTransport,
-    SharedExecutorBackend,
     Transport,
-    ambient_backend,
     current_executor,
     executor_scope,
+    payload_picklable,
     resolve_transport,
 )
 from repro.exec.resilience import (
@@ -46,23 +36,15 @@ from repro.exec.resilience import (
 )
 
 __all__ = [
-    "BACKEND_NAMES",
-    "ExecutionBackend",
-    "ProcessBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "payload_picklable",
-    "resolve_backend",
     "TRANSPORT_NAMES",
     "DagExecutor",
     "ExecutorStats",
     "PoolTransport",
     "SerialTransport",
-    "SharedExecutorBackend",
     "Transport",
-    "ambient_backend",
     "current_executor",
     "executor_scope",
+    "payload_picklable",
     "resolve_transport",
     "CHAOS_ENV",
     "FaultInjectingTransport",

@@ -1,13 +1,11 @@
-"""Unified work-stealing DAG executor: one pool for all parallel cuts.
+"""Unified work-stealing DAG executor: the one dispatch layer.
 
 The experiment layer is parallel at three nesting levels — experiment
 cells, annealing restarts inside a cell's mapping search, and scaling
-assessments inside a cell's sweep — but the per-cut backends of
-:mod:`repro.exec.backends` are all-or-nothing: a cell dispatched to a
-pool forces its inner cuts serial (``worker_profile``) to avoid nested
-pools, so a small grid on a big machine leaves most cores idle.
-
-This module flattens the task DAG instead.  Cell *orchestration* (the
+assessments inside a cell's sweep.  Rather than giving each cut a pool
+of its own (a cell dispatched to a pool would have to force its inner
+cuts serial to avoid nested pools, leaving most cores idle on a small
+grid), this module flattens the task DAG.  Cell *orchestration* (the
 cheap coordination code: building jobs, replaying rankings and
 early-exit policies) runs on lightweight coordinator threads, while
 every *leaf* task — an annealing restart or a scaling assessment — is
@@ -26,8 +24,7 @@ The house invariant survives unchanged because the executor never
 * :meth:`DagExecutor.map` returns results in submission order whatever
   the completion order (stable task ids = list indices per batch);
 * best-of selection and early-exit policies are replayed by the
-  *callers* over those ordered results — the same replay the per-cut
-  backends already use.
+  *callers* over those ordered results.
 
 So a DAG-executed grid reassembles bit-identical reports to a serial
 run; only wall-clock and the operational :class:`ExecutorStats`
@@ -45,20 +42,23 @@ changes required.
 
 Ambient wiring
 --------------
-Inner code (``DesignOptimizer``, ``SimulatedAnnealingMapper``) reaches
-the shared executor through the ``"dag"`` backend spec:
-``resolve_backend("dag")`` returns a :class:`SharedExecutorBackend`
-bound to the executor of the current :func:`executor_scope`, or a
-plain :class:`~repro.exec.backends.SerialBackend` when no scope is
-active — profiles mentioning ``"dag"`` degrade gracefully to serial
-outside an executor.  Scopes are thread-local, so each cell
-orchestration thread tags its submissions with its own source label
-(that is what the steal counter measures).
+The executor of the innermost :func:`executor_scope` is the only
+source of parallelism.  Inner code (``DesignOptimizer.optimize``,
+``SimulatedAnnealingMapper.run``) asks :func:`current_executor` and
+nothing else: with an executor in scope it ships its leaves there,
+tagged with :func:`current_source`; with none it runs its serial
+loop.  ``executor_scope(None)`` masks an enclosing scope — serial
+profiles run under it, and so does every leaf (:func:`_dag_leaf`), so
+a leaf never re-dispatches into the executor that is running it.
+Scopes are thread-local, so each cell orchestration thread tags its
+submissions with its own source label (that is what the steal counter
+measures).
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -74,12 +74,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.exec.backends import (
-    ExecutionBackend,
-    SerialBackend,
-    payload_picklable,
-)
-
 TRANSPORT_NAMES = ("serial", "thread", "process", "auto")
 
 #: Thread-local state of the *worker* executing leaves: remembers the
@@ -88,19 +82,37 @@ TRANSPORT_NAMES = ("serial", "thread", "process", "auto")
 _WORKER_STATE = threading.local()
 
 
+def payload_picklable(probe: Any) -> bool:
+    """Whether ``probe`` round-trips through pickle (process-pool food)."""
+    try:
+        pickle.dumps(probe)
+    except Exception:
+        return False
+    return True
+
+
 def _dag_leaf(source: str, fn: Callable[[Any], Any], item: Any):
     """Instrumented leaf trampoline (module-level: process pools pickle it).
 
     Returns ``(worker tag, stolen, fn(item))`` where ``stolen`` flags
     that this worker's previous leaf came from a different source
-    (another cell) — the work-stealing observability hook.
+    (another cell) — the work-stealing observability hook.  The leaf
+    runs under a masked scope, so it never re-dispatches into the
+    executor running it: :class:`SerialTransport` runs it inline on the
+    coordinator thread, and fork-started process workers inherit the
+    scope stack of the thread that spawned them.
     """
     thread = threading.current_thread()
     tag = f"pid{os.getpid()}:{thread.name}"
     previous = getattr(_WORKER_STATE, "source", None)
     _WORKER_STATE.source = source
     stolen = previous is not None and previous != source
-    return tag, stolen, fn(item)
+    stack = _scope_stack()  # executor_scope(None), minus the generator cost
+    stack.append((None, None))
+    try:
+        return tag, stolen, fn(item)
+    finally:
+        stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +248,9 @@ def resolve_transport(
 
     ``"auto"`` (and ``None``) prefers processes when the machine has
     more than one CPU and the probe (when given) pickles, degrading to
-    inline execution otherwise — the same policy ``resolve_backend``
-    applies to its ``"auto"`` spec.
+    inline execution otherwise: on one CPU worker processes only add
+    overhead, and unpicklable (GIL-bound, pure-Python) payloads would
+    gain nothing from threads either.
     """
     name = (spec or "auto").lower()
     if name not in TRANSPORT_NAMES:
@@ -351,8 +364,7 @@ class DagExecutor:
     :meth:`map` / :meth:`map_stream` concurrently; all their leaves
     funnel into the transport's single queue.  Each call reassembles
     its own batch in submission order — stable ids are just the batch
-    indices, so callers replay serial policies over ordered results
-    exactly as they do on the per-cut backends.
+    indices, so callers replay serial policies over ordered results.
     """
 
     def __init__(
@@ -413,9 +425,12 @@ class DagExecutor:
         callback: Optional[Callable[[int, Any], None]] = None,
         source: Optional[str] = None,
     ) -> List[Any]:
-        """:meth:`map` with a completion-order callback (see backends).
+        """:meth:`map` with a completion-order callback.
 
-        ``callback(index, result)`` runs in the submitting thread.  If
+        ``callback(index, result)`` fires once per item in *completion*
+        order — the streaming hook the run store uses to persist each
+        experiment cell the moment it finishes — and runs in the
+        submitting thread.  The returned list keeps item order.  If
         the callback or a leaf raises, outstanding leaves of *this
         batch* are cancelled and in-flight ones drained before the
         exception propagates — no work leaks past the call.
@@ -573,13 +588,14 @@ def current_source() -> Optional[str]:
 
 
 @contextmanager
-def executor_scope(executor: DagExecutor, source: Optional[str] = None):
+def executor_scope(executor: Optional[DagExecutor], source: Optional[str] = None):
     """Make ``executor`` ambient on this thread for the ``with`` body.
 
     ``source`` labels submissions made under the scope (steal
     attribution).  Scopes nest and are strictly thread-local — a cell
     orchestration thread must open its own scope, which
-    ``run_cells`` does.
+    ``run_cells`` does.  ``None`` masks every enclosing scope: code in
+    the body sees no executor and runs its serial loops.
     """
     stack = _scope_stack()
     stack.append((executor, source))
@@ -587,53 +603,3 @@ def executor_scope(executor: DagExecutor, source: Optional[str] = None):
         yield executor
     finally:
         stack.pop()
-
-
-class SharedExecutorBackend(ExecutionBackend):
-    """An :class:`ExecutionBackend` view of a shared :class:`DagExecutor`.
-
-    What ``resolve_backend("dag")`` hands to the sweep/restart callers:
-    the same ``map`` / ``map_stream`` contract as every other backend,
-    but submissions land in the shared queue instead of a private
-    pool.  ``close()`` is deliberately a no-op — the executor belongs
-    to whoever opened it (the CLI, ``run_cells``, or a test), not to
-    the consumers ``resolve_backend`` hands it to.
-    """
-
-    name = "dag"
-
-    def __init__(
-        self, executor: DagExecutor, source: Optional[str] = None
-    ) -> None:
-        self.executor = executor
-        self.source = source
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        return self.executor.map(fn, items, source=self.source)
-
-    def map_stream(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        callback: Optional[Callable[[int, Any], None]] = None,
-    ) -> List[Any]:
-        return self.executor.map_stream(
-            fn, items, callback=callback, source=self.source
-        )
-
-    def close(self) -> None:  # the executor outlives its backend views
-        pass
-
-
-def ambient_backend() -> ExecutionBackend:
-    """The backend the ``"dag"`` spec resolves to on this thread.
-
-    A :class:`SharedExecutorBackend` inside an :func:`executor_scope`;
-    a plain :class:`SerialBackend` outside one, so profiles configured
-    for the DAG executor still run (serially) in contexts that never
-    opened an executor.
-    """
-    executor = current_executor()
-    if executor is None:
-        return SerialBackend()
-    return SharedExecutorBackend(executor, source=current_source())

@@ -20,7 +20,7 @@ paper-scale search budgets — and return plain dataclasses with
 print the same rows the paper reports.
 """
 
-from repro.experiments.common import ExperimentProfile, run_cells, worker_profile
+from repro.experiments.common import ExperimentProfile, run_cells
 from repro.experiments.fig3 import Fig3Result, run_fig3
 from repro.experiments.table2 import Table2Result, run_table2
 from repro.experiments.fig9 import Fig9Result, run_fig9
@@ -46,5 +46,4 @@ __all__ = [
     "run_fig9",
     "run_table2",
     "run_table3",
-    "worker_profile",
 ]

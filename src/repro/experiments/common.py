@@ -10,7 +10,6 @@ reporting units (P in mW, R in kbit, T_M in cycles, Gamma in SEUs).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, List, Optional, Sequence, Tuple
@@ -18,7 +17,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 from repro.arch.mpsoc import MPSoC
 from repro.arch.platform import DEFAULT_PLATFORM, platform_model
 from repro.arch.technode import TechNode
-from repro.exec.backends import BackendSpec, SerialBackend, resolve_backend
+from repro.exec.dag import executor_scope
 from repro.faults.ser import SERModel
 from repro.mapping.metrics import MappingEvaluator
 from repro.optim.annealing import AnnealingConfig
@@ -31,8 +30,9 @@ from repro.optim.design_optimizer import (
 from repro.optim.objectives import Objective
 from repro.taskgraph.graph import TaskGraph
 
-#: Valid ``ExperimentProfile.exec_plan`` values.  ``None`` and
-#: ``"percut"`` keep the legacy per-cut dispatch (the reference path);
+#: Valid ``ExperimentProfile.exec_plan`` values.  ``None`` runs
+#: serially (the reference path); ``"percut"`` is accepted as an alias
+#: of ``None`` so stored runs and clients that name it keep working.
 #: ``"dag"`` and its ``dag:<transport>`` variants route every parallel
 #: cut through one shared work-stealing executor (repro.exec.dag).
 EXEC_PLANS = (
@@ -43,11 +43,6 @@ EXEC_PLANS = (
     "dag:process",
     "dag:auto",
 )
-
-#: Per-cut backend values that open pools of their own — the ones a
-#: unified ``exec_plan`` conflicts with (serial and "dag" are inert).
-_POOLED_BACKENDS = ("thread", "process", "auto")
-
 
 @dataclass(frozen=True)
 class ExperimentProfile:
@@ -80,33 +75,13 @@ class ExperimentProfile:
         :class:`repro.arch.TechNode`).  The default 45 nm node leaves
         every model untouched.  Result-determining — included in the
         store fingerprint.
-    exec_backend:
-        Execution backend for the scaling sweeps (``"serial"``,
-        ``"thread"``, ``"process"`` or ``"auto"``).  Any choice
-        selects the identical designs (the exec subsystem's
-        determinism contract); parallel backends only change
-        wall-clock on multi-core machines.
-    experiment_backend:
-        Execution backend the experiment grids fan out on — Table
-        III's application × core-count cells, Fig. 10's per-core-count
-        pairs and :func:`~repro.experiments.runner.run_all`'s whole
-        experiments.  Cells carry per-cell seeds and run in private
-        evaluators, and results are reassembled in grid order, so the
-        reports are byte-identical to a serial run.  When cells run on
-        a parallel backend their inner sweeps are forced serial (see
-        :func:`worker_profile`) to avoid nested pools.
     exec_max_workers:
-        Pool size cap for every pooled backend resolved from this
-        profile (scaling sweeps, restart dispatch and experiment
-        fan-out); ``None`` sizes pools from the machine.
+        Worker cap of the executor a dag ``exec_plan`` opens (at least
+        1); ``None`` sizes the pool from the machine.
     sa_restarts:
         Override for the annealing restart count used by both the
-        proposed stage-2 annealer and the Exp:1-3 baselines; ``None``
-        keeps the mappers' size-derived defaults.
-    restart_backend:
-        Execution backend the annealing restarts run on (the third
-        parallel cut, inside one scaling's mapping search).  Identical
-        selections on every backend, like the other two cuts.
+        proposed stage-2 annealer and the Exp:1-3 baselines (at least
+        1); ``None`` keeps the mappers' size-derived defaults.
     batch_eval:
         Batched candidate screening chunk size for the mapping
         searchers (table3 and every experiment built through
@@ -138,19 +113,17 @@ class ExperimentProfile:
         reassemble byte-identical reports — the store determinism
         contract.  Without ``resume`` an existing store is overwritten.
     exec_plan:
-        The unified execution plan.  ``None`` (default) keeps the
-        legacy per-cut dispatch driven by the three ``*_backend``
-        knobs above (``"percut"`` says the same explicitly); ``"dag"``
-        / ``"dag:serial"`` / ``"dag:thread"`` / ``"dag:process"`` /
-        ``"dag:auto"`` flatten all three cuts — cells, restarts,
-        scalings — into one shared work-stealing executor over the
-        named transport (see :mod:`repro.exec.dag`), so idle workers
-        pick up inner work from any cell instead of idling while
-        their cell finishes.  Reports stay byte-identical to serial
-        runs (the house determinism contract).  The per-cut knobs are
-        **deprecated** in favour of this field; combining a dag plan
-        with a pooled per-cut backend is contradictory (two owners
-        for the machine's parallelism) and fails fast.
+        The execution plan, the only parallelism setting.  ``None``
+        (default, or its alias ``"percut"``) runs serially, with no
+        executor in scope even under an enclosing one (the service's
+        per-job scope).  ``"dag"`` / ``"dag:serial"`` / ``"dag:thread"``
+        / ``"dag:process"`` / ``"dag:auto"`` flatten all three parallel
+        cuts — cells, restarts, scalings — into one shared
+        work-stealing executor over the named transport (see
+        :mod:`repro.exec.dag`), so idle workers pick up inner work from
+        any cell instead of idling while their cell finishes.  Reports
+        stay byte-identical to serial runs (the house determinism
+        contract).
     """
 
     name: str = "fast"
@@ -161,11 +134,8 @@ class ExperimentProfile:
     seed: int = 0
     platform: str = DEFAULT_PLATFORM
     tech_node: str = "45nm"
-    exec_backend: str = "serial"
-    experiment_backend: str = "serial"
     exec_max_workers: Optional[int] = None
     sa_restarts: Optional[int] = None
-    restart_backend: str = "serial"
     batch_eval: int = 0
     screen_moves: object = False
     store_dir: Optional[str] = None
@@ -180,30 +150,10 @@ class ExperimentProfile:
             raise ValueError(
                 f"unknown exec_plan {self.exec_plan!r}; choose from {EXEC_PLANS}"
             )
-        pooled = [
-            f"{name}={getattr(self, name)!r}"
-            for name in ("exec_backend", "experiment_backend", "restart_backend")
-            if getattr(self, name) in _POOLED_BACKENDS
-        ]
-        if self.uses_dag_executor():
-            if pooled:
-                raise ValueError(
-                    f"exec_plan={self.exec_plan!r} conflicts with per-cut "
-                    f"backend(s) {', '.join(pooled)}: the unified executor "
-                    "owns all parallel cuts — drop the per-cut knobs (they "
-                    "are deprecated) or use exec_plan='percut'"
-                )
-        elif pooled:
-            # Pickle restore bypasses __init__, so worker processes do
-            # not re-warn for profiles shipped to them.
-            warnings.warn(
-                f"per-cut backend knob(s) {', '.join(pooled)} are "
-                "deprecated; set exec_plan='dag' (or 'dag:thread'/"
-                "'dag:process') to run every parallel cut on one shared "
-                "work-stealing pool — reports stay byte-identical",
-                DeprecationWarning,
-                stacklevel=3,
-            )
+        for name in ("exec_max_workers", "sa_restarts"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     def uses_dag_executor(self) -> bool:
         """Whether this profile routes work through the shared DAG executor."""
@@ -215,14 +165,6 @@ class ExperimentProfile:
             raise ValueError(f"exec_plan {self.exec_plan!r} is not a dag plan")
         _, _, transport = self.exec_plan.partition(":")
         return transport or "auto"
-
-    def sweep_backend(self) -> str:
-        """The effective scaling-sweep backend spec under this profile."""
-        return "dag" if self.uses_dag_executor() else self.exec_backend
-
-    def restart_dispatch_backend(self) -> str:
-        """The effective annealing-restart backend spec under this profile."""
-        return "dag" if self.uses_dag_executor() else self.restart_backend
 
     @classmethod
     def fast(cls, seed: int = 0) -> "ExperimentProfile":
@@ -273,33 +215,11 @@ class ExperimentProfile:
             updates["tech_node"] = tech_node
         return replace(self, **updates)
 
-    def with_backend(
-        self,
-        exec_backend: Optional[str] = None,
-        experiment_backend: Optional[str] = None,
-        restart_backend: Optional[str] = None,
-    ) -> "ExperimentProfile":
-        """A copy running on different execution backends.
-
-        Positional use (``with_backend("thread")``) keeps its original
-        meaning — the scaling-sweep backend; the keyword arguments
-        retarget the experiment fan-out and restart cuts.
-        """
-        updates = {}
-        if exec_backend is not None:
-            updates["exec_backend"] = exec_backend
-        if experiment_backend is not None:
-            updates["experiment_backend"] = experiment_backend
-        if restart_backend is not None:
-            updates["restart_backend"] = restart_backend
-        return replace(self, **updates)
-
     def with_exec_plan(self, exec_plan: Optional[str]) -> "ExperimentProfile":
         """A copy running under a different execution plan.
 
-        Validation (unknown plans, conflicts with deprecated per-cut
-        knobs) happens in ``__post_init__`` — conflicting combinations
-        fail fast here, not deep inside a run.
+        Unknown plans fail fast here (``__post_init__``), not deep
+        inside a run.
         """
         return replace(self, exec_plan=exec_plan)
 
@@ -320,11 +240,11 @@ class ExperimentProfile:
     def result_fingerprint(self) -> str:
         """Hash of every profile field that determines results.
 
-        Execution fields (backends, ``exec_plan``, worker caps, the
-        store settings themselves) are deliberately excluded: by the
-        exec determinism contract they change wall-clock only, so a
-        store written by a serial run may be resumed on a process
-        backend or under the DAG executor and vice versa.
+        Execution fields (``exec_plan``, worker caps, the store
+        settings themselves) are deliberately excluded: by the exec
+        determinism contract they change wall-clock only, so a store
+        written by a serial run may be resumed under the DAG executor
+        and vice versa.
         ``batch_eval``/``screen_moves`` *are* included — chunked
         screening changes the candidate visit sequence — and so are
         ``platform``/``tech_node`` (format 2), which select different
@@ -353,13 +273,7 @@ class ExperimentProfile:
 
     def annealing_config(self) -> AnnealingConfig:
         """The SA configuration implied by this profile."""
-        # "serial" passes straight through: AnnealingConfig accepts any
-        # BACKEND_NAMES entry and resolve_backend("serial") is the
-        # in-process loop.
-        config = AnnealingConfig(
-            max_iterations=self.sa_iterations,
-            restart_backend=self.restart_dispatch_backend(),
-        )
+        config = AnnealingConfig(max_iterations=self.sa_iterations)
         if self.sa_restarts is not None:
             config = replace(config, restarts=self.sa_restarts)
         return config
@@ -432,7 +346,6 @@ def build_optimizer(
         mapper = sea_mapper(
             search_iterations=profile.search_iterations,
             restarts=profile.sa_restarts,
-            restart_backend=profile.restart_dispatch_backend(),
             screen_moves=profile.screen_moves,
             batch_size=profile.batch_eval,
         )
@@ -458,37 +371,12 @@ def build_optimizer(
         seed=profile.seed + seed_offset,
         tiebreak=objective,
         remap_per_scaling=objective is None,
-        backend=profile.sweep_backend(),
-        max_workers=profile.exec_max_workers,
         # The proposed flow trades a modest amount of power for fewer
         # SEUs (Table II: Exp:4 consumes ~5% more than the cheapest
         # baseline design while cutting SEUs substantially); the
         # baselines stay strictly power-first.
         power_tolerance=0.15 if objective is None else 0.02,
     )
-
-
-def worker_profile(profile: ExperimentProfile) -> ExperimentProfile:
-    """The profile a fanned-out cell runs under inside a worker.
-
-    All inner parallel cuts are forced serial: a cell dispatched to a
-    thread or process pool must not open nested pools of its own (the
-    outer fan-out already owns the machine's parallelism).  By the
-    exec determinism contract this changes wall-clock only, never
-    results.
-    """
-    return replace(
-        profile,
-        exec_backend="serial",
-        experiment_backend="serial",
-        restart_backend="serial",
-        exec_plan=None,
-    )
-
-
-def _run_cell(cell: Any) -> Any:
-    """Module-level trampoline so process pools can pickle the call."""
-    return cell.run()
 
 
 @dataclass(frozen=True)
@@ -499,8 +387,8 @@ class _CheckpointedCell:
     durably record per-scaling progress (see
     :mod:`repro.store.checkpoint`): the wrapper re-opens the
     thread-local scope wherever the cell actually runs — the caller's
-    thread, a dag coordinator thread, or a process-pool worker — and
-    the optimizer inside picks it up via ``current_checkpoint()``.
+    thread or a dag coordinator thread — and the optimizer inside
+    picks it up via ``current_checkpoint()``.
     Carries the checkpoint *path* plus the identity pair (run
     fingerprint, cell key) the checkpoint validates against.
     """
@@ -569,21 +457,23 @@ def _open_cell_store(profile: ExperimentProfile, label: Optional[str], cells):
 def run_cells(
     cells: Sequence[Any],
     profile: ExperimentProfile,
-    backend: BackendSpec = None,
     label: Optional[str] = None,
 ) -> List[Any]:
-    """Fan experiment cells out through an execution backend, in order.
+    """Run experiment cells under the profile's execution plan, in order.
 
     A *cell* is a picklable object with a ``run()`` method and a
     ``profile`` field (a frozen dataclass).  Cells must be independent
     — each carries its own seeds and builds private evaluators — so
-    results are a pure function of the cell itself and
-    ``backend.map``'s item-order guarantee makes the returned list
-    identical to a serial loop whatever backend executes it.
+    results are a pure function of the cell itself and the returned
+    list is identical whatever plan executes it.
 
-    ``backend`` overrides ``profile.experiment_backend``.  On a
-    parallel backend every cell is re-profiled via
-    :func:`worker_profile` so inner sweeps stay serial in the workers.
+    Without a dag ``profile.exec_plan`` the cells run one after the
+    other with any enclosing executor scope masked, so their sweeps
+    and restarts take the serial reference loops.  Under a dag plan
+    the grid takes the executor path instead (see
+    :func:`_run_cells_dag`): cells run concurrently on coordinator
+    threads and their inner restart / scaling leaves share one
+    work-stealing pool.
 
     ``label`` names the grid for the streaming run store: when
     ``profile.store_dir`` is set and a label is given, every cell's
@@ -595,48 +485,21 @@ def run_cells(
     failed cell is recorded as such and the grid raises *after* every
     other cell has run and been persisted; resuming re-dispatches
     only the failures.
-
-    Under a dag ``profile.exec_plan`` the grid takes the unified-
-    executor path instead (see :func:`_run_cells_dag`): cells run
-    concurrently on coordinator threads and their inner restart /
-    scaling leaves share one work-stealing pool.  Reports, streaming
-    and resume semantics are unchanged — byte-identical to serial.
     """
     cells = list(cells)
     if not cells:
         return []
     if profile.uses_dag_executor():
-        if backend is not None:
-            raise ValueError(
-                f"exec_plan={profile.exec_plan!r} conflicts with an explicit "
-                "run_cells backend override: the unified executor owns the "
-                "cell fan-out — drop the backend argument or the exec_plan"
-            )
         return _run_cells_dag(cells, profile, label)
-    spec = backend if backend is not None else profile.experiment_backend
     store = _open_cell_store(profile, label, cells)
-    if store is None:
-        resolved = resolve_backend(
-            spec,
-            task_count=len(cells),
-            probe_factory=lambda: cells[0],
-            max_workers=profile.exec_max_workers,
-        )
-        if isinstance(resolved, SerialBackend):
+    with executor_scope(None):
+        if store is None:
             return [cell.run() for cell in cells]
-        jobs = [
-            replace(cell, profile=worker_profile(cell.profile)) for cell in cells
-        ]
-        try:
-            return resolved.map(_run_cell, jobs)
-        finally:
-            if resolved is not spec:  # close pools we created here
-                resolved.close()
-    return _run_cells_stored(cells, profile, spec, store)
+        return _run_cells_stored(cells, store)
 
 
-def _run_cells_stored(cells, profile: ExperimentProfile, spec, store) -> List[Any]:
-    """Store-backed :func:`run_cells`: stream completions, skip loaded cells."""
+def _run_cells_stored(cells, store) -> List[Any]:
+    """Serial store-backed :func:`run_cells`: persist each cell, skip loaded ones."""
     keys = store.keys
     loaded = store.load_results()
     results: List[Any] = [None] * len(cells)
@@ -647,51 +510,24 @@ def _run_cells_stored(cells, profile: ExperimentProfile, spec, store) -> List[An
             results[index] = record.payload
         else:
             pending.append(index)
-    if pending:
-        resolved = resolve_backend(
-            spec,
-            task_count=len(pending),
-            probe_factory=lambda: cells[pending[0]],
-            max_workers=profile.exec_max_workers,
-        )
-        if isinstance(resolved, SerialBackend):
-            jobs = [cells[index] for index in pending]
+    jobs = _checkpointed_jobs([cells[index] for index in pending], pending, store)
+    failures: List[str] = []
+    for index, job in zip(pending, jobs):
+        status, value = _run_cell_guarded(job)
+        if status == "ok":
+            store.record_result(keys[index], index, value)
+            results[index] = value
         else:
-            jobs = [
-                replace(cells[index], profile=worker_profile(cells[index].profile))
-                for index in pending
-            ]
-        jobs = _checkpointed_jobs(jobs, pending, store)
-
-        def persist(position: int, outcome) -> None:
-            index = pending[position]
-            status, value = outcome
-            if status == "ok":
-                store.record_result(keys[index], index, value)
-            else:
-                store.record_error(keys[index], index, value)
-
-        try:
-            outcomes = resolved.map_stream(_run_cell_guarded, jobs, callback=persist)
-        finally:
-            if resolved is not spec:
-                resolved.close()
-        failures: List[str] = []
-        for position, (status, value) in enumerate(outcomes):
-            index = pending[position]
-            if status == "ok":
-                results[index] = value
-            else:
-                failures.append(f"{keys[index]}: {value}")
-        if failures:
-            store.finalize()
-            raise RuntimeError(
-                f"{len(failures)} of {len(cells)} cell(s) failed; completed "
-                f"cells are persisted in {store.directory} — re-run with "
-                f"resume to re-dispatch only the failures: "
-                + "; ".join(failures)
-            )
+            store.record_error(keys[index], index, value)
+            failures.append(f"{keys[index]}: {value}")
     store.finalize()
+    if failures:
+        raise RuntimeError(
+            f"{len(failures)} of {len(cells)} cell(s) failed; completed "
+            f"cells are persisted in {store.directory} — re-run with "
+            f"resume to re-dispatch only the failures: "
+            + "; ".join(failures)
+        )
     return results
 
 
@@ -699,14 +535,9 @@ def _run_cell_in_dag(executor, cell: Any, source: str, guarded: bool):
     """Run one cell on a coordinator thread under the shared executor.
 
     Opens a thread-local :func:`~repro.exec.dag.executor_scope` so the
-    cell's inner ``"dag"`` backend specs (sweeps, restarts, nested
-    grids) resolve to the shared executor tagged with this cell's
-    source label.  The cell itself keeps its profile untouched — all
-    plan-to-backend mapping happens in :func:`build_optimizer` /
-    nested :func:`run_cells` calls off ``exec_plan``.
+    cell's sweeps, restarts and nested grids find the shared executor,
+    tagged with this cell's source label.
     """
-    from repro.exec.dag import executor_scope
-
     with executor_scope(executor, source):
         if not guarded:
             return ("ok", cell.run())
@@ -727,12 +558,12 @@ def _run_cells_dag(
     assessments) all funnel into one shared
     :class:`~repro.exec.dag.DagExecutor` queue — so a worker that
     finishes one cell's leaves immediately steals another's instead
-    of idling, which is exactly what the per-cut fan-out cannot do.
+    of idling.
 
     An already-ambient executor (an enclosing grid, the CLI) is
     reused — nested grids share the one pool; otherwise one is opened
     from the profile's transport spec and closed here.  Store
-    streaming mirrors the legacy path: completions persist from the
+    streaming mirrors the serial path: completions persist from the
     caller's thread in completion order, failures are recorded and
     the grid raises after every cell has run, and the executor's
     utilization stats land in the run manifest.
@@ -810,7 +641,7 @@ def _run_cells_dag(
                 except BaseException:
                     # Unguarded (storeless) mode propagates the first
                     # cell failure with its original type, like the
-                    # legacy backend.map path; cancel cells that have
+                    # serial path; cancel cells that have
                     # not started and let in-flight ones drain.
                     for future in futures:
                         future.cancel()

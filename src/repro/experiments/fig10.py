@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.backends import BackendSpec
 from repro.experiments.common import (
     ExperimentProfile,
     build_optimizer,
@@ -158,14 +157,12 @@ def run_fig10(
     graph: Optional[TaskGraph] = None,
     deadline_s: Optional[float] = None,
     core_counts: Sequence[int] = CORE_COUNTS,
-    backend: BackendSpec = None,
 ) -> Fig10Result:
     """Regenerate the Fig. 10 comparison.
 
     Each core count's Exp:3/Exp:4 pair is one independent cell; cells
-    fan out through ``backend`` (defaulting to
-    ``profile.experiment_backend``) and are reassembled in core-count
-    order, byte-identical to a serial run.
+    run under the profile's execution plan and are reassembled in
+    core-count order, byte-identical to a serial run.
     """
     profile = profile or ExperimentProfile.fast()
     if graph is None:
@@ -182,5 +179,5 @@ def run_fig10(
         for cores in core_counts
     ]
     result = Fig10Result()
-    result.cells.extend(run_cells(jobs, profile, backend=backend, label="fig10"))
+    result.cells.extend(run_cells(jobs, profile, label="fig10"))
     return result

@@ -141,9 +141,9 @@ def run_fig11(
     elif deadline_s is None:
         raise ValueError("deadline_s is required with a custom graph")
 
-    # Each preset is an independent cell: fan out through
-    # ``profile.experiment_backend`` and stream to the run store when
-    # one is configured, reassembled in preset order — the same
+    # Each preset is an independent cell: run under the profile's
+    # execution plan and stream to the run store when one is
+    # configured, reassembled in preset order — the same
     # designs the former in-line loop produced.
     jobs = [
         _Fig11LevelJob(

@@ -189,9 +189,9 @@ def run_fig3(
 ) -> Fig3Result:
     """Reproduce the Fig. 3 study.
 
-    The two panel scalings are independent cells: they fan out through
-    ``profile.experiment_backend`` and stream to the run store when
-    one is configured, reassembled in panel order — results identical
+    The two panel scalings are independent cells: they run under the
+    profile's execution plan and stream to the run store when one is
+    configured, reassembled in panel order — results identical
     to the former in-line loop (evaluation is a pure function, and the
     per-panel evaluators see the same mapping sample).
 

@@ -212,9 +212,9 @@ def run_fig9(
 
     # Fresh path: the four experiments are independent cells (the
     # evaluator is pure, so private per-cell evaluators produce the
-    # exact designs the former shared-evaluator loop did); they fan
-    # out through ``profile.experiment_backend`` and stream to the
-    # run store when one is configured.
+    # exact designs the former shared-evaluator loop did); they run
+    # under the profile's execution plan and stream to the run store
+    # when one is configured.
     jobs = [
         _Fig9ExperimentJob(
             experiment=experiment,

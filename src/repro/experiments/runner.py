@@ -9,11 +9,9 @@ both go through here.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.exec.backends import BackendSpec
 from repro.experiments.common import ExperimentProfile, run_cells
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig9 import run_fig9
@@ -100,15 +98,14 @@ class _ExperimentJob:
 
 def run_all(
     profile: Optional[ExperimentProfile] = None,
-    backend: BackendSpec = None,
     ids: Optional[Sequence[str]] = None,
 ) -> Dict[str, Tuple[Any, str]]:
     """Run every experiment (or the ``ids`` subset); id -> (result, report).
 
-    Experiments are mutually independent, so whole experiments fan out
-    through ``backend`` (defaulting to ``profile.experiment_backend``)
-    and the returned dict keeps paper order — reports are
-    byte-identical to a serial run whichever backend executes them.
+    Experiments are mutually independent cells of one grid (see
+    :func:`~repro.experiments.common.run_cells`), and the returned dict
+    keeps paper order — reports are byte-identical to a serial run
+    whichever execution plan runs them.
 
     With ``profile.store_dir`` the sweep streams twice over: each
     finished experiment's ``(result, report)`` lands in the ``all``
@@ -118,14 +115,6 @@ def run_all(
     mid-table3 resumes mid-table3, not from the sweep's start.
     """
     profile = profile or ExperimentProfile.fast()
-    if backend is not None and backend != "serial":
-        warnings.warn(
-            "run_all(backend=...) overrides one per-cut pool, which is "
-            "deprecated; set profile.exec_plan='dag' to run every "
-            "parallel cut on the shared executor instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     selected = tuple(ids) if ids is not None else experiment_ids()
     for experiment_id in selected:
         if experiment_id not in _RUNNERS:
@@ -133,7 +122,7 @@ def run_all(
                 f"unknown experiment {experiment_id!r}; choose from {sorted(_RUNNERS)}"
             )
     jobs = [_ExperimentJob(experiment_id, profile) for experiment_id in selected]
-    results = run_cells(jobs, profile, backend=backend, label="all")
+    results = run_cells(jobs, profile, label="all")
     return {
         experiment_id: result for experiment_id, result in zip(selected, results)
     }

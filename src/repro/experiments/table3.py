@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.backends import BackendSpec
 from repro.experiments.common import (
     ExperimentProfile,
     build_optimizer,
@@ -192,14 +191,12 @@ def run_table3(
     profile: Optional[ExperimentProfile] = None,
     core_counts: Sequence[int] = CORE_COUNTS,
     applications: Optional[List[Tuple[str, TaskGraph, float]]] = None,
-    backend: BackendSpec = None,
 ) -> Table3Result:
     """Run the architecture-allocation sweep.
 
     The application × core-count grid is embarrassingly parallel:
-    cells fan out through ``backend`` (defaulting to
-    ``profile.experiment_backend``) with per-cell seeds and are
-    reassembled in grid order, so the resulting table — and every
+    cells run under the profile's execution plan with per-cell seeds
+    and are reassembled in grid order, so the resulting table — and every
     shape check over it — is byte-identical to a serial run.
     """
     profile = profile or ExperimentProfile.fast()
@@ -216,7 +213,7 @@ def run_table3(
         for app_index, (label, graph, deadline_s) in enumerate(applications)
         for cores in core_counts
     ]
-    cells = run_cells(jobs, profile, backend=backend, label="table3")
+    cells = run_cells(jobs, profile, label="table3")
     result = Table3Result(core_counts=tuple(core_counts))
     for cell in cells:
         result.cells.setdefault(cell.app, {})[cell.num_cores] = cell

@@ -37,16 +37,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.arch.mpsoc import MPSoC
 from repro.arch.power import PowerModel
 from repro.faults.ser import SERModel
 from repro.mapping.mapping import Mapping
-from repro.sched.batched import BatchedListScheduler, numpy_available
-
-try:  # optional: the vectorized batch path degrades gracefully without it
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.sched.batched import BatchedListScheduler
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.schedule import Schedule, from_arrays_validation_enabled
 from repro.taskgraph.graph import TaskGraph
@@ -193,7 +190,7 @@ _validate_signatures = os.environ.get("REPRO_VALIDATE_SIGNATURES", "") not in (
 def set_signature_validation(enabled: bool) -> None:
     """Toggle incremental-signature parity assertions at runtime.
 
-    Per-process; workers of the process backend inherit the
+    Per-process; workers of the process transport inherit the
     ``REPRO_VALIDATE_SIGNATURES`` environment variable instead.
     """
     global _validate_signatures
@@ -694,8 +691,8 @@ class MappingEvaluator:
         BatchedListScheduler` — bit-identical metrics (same IEEE-754
         operations, see the module docstring there), several times
         faster than the per-mapping loop, which survives as
-        :meth:`evaluate_batch_reference` for parity testing and as the
-        fallback when numpy is unavailable.  Points are assembled by the
+        :meth:`evaluate_batch_reference` for parity testing.  Points are
+        assembled by the
         same function as :meth:`evaluate`'s; :meth:`schedule_of` builds
         a point's schedule on demand.
         """
@@ -705,8 +702,6 @@ class MappingEvaluator:
         if not mappings:
             return []
         batched = self.batched_scheduler_for(scaling_vector)
-        if batched is None:  # numpy unavailable: the loop path is exact
-            return self.evaluate_batch_reference(mappings, scaling_vector)
         num_cores = self.platform.num_cores
         cache_size = self._cache_size
         # Phase 1 — replay the per-call cache sequence (lookups, hit
@@ -789,14 +784,14 @@ class MappingEvaluator:
         # the same ones core_masks performs, in any order.
         mask_rows = None
         if 0 < len(compiled.registers) <= 63:
-            task_masks = _np.asarray(
-                compiled.task_register_masks, dtype=_np.int64
+            task_masks = np.asarray(
+                compiled.task_register_masks, dtype=np.int64
             )
             cores_array = result.cores
-            mask_rows = _np.stack(
+            mask_rows = np.stack(
                 [
-                    _np.bitwise_or.reduce(
-                        _np.where(cores_array == core, task_masks, 0), axis=1
+                    np.bitwise_or.reduce(
+                        np.where(cores_array == core, task_masks, 0), axis=1
                     )
                     for core in range(num_cores)
                 ],
@@ -825,8 +820,7 @@ class MappingEvaluator:
         (results, cache traffic and counters), with the per-call fixed
         costs amortized.  Kept as the behavioural reference for the
         vectorized :meth:`evaluate_batch` — the parity suite asserts
-        bit-identical points and counter parity between the two — and
-        as the fallback when numpy is unavailable.
+        bit-identical points and counter parity between the two.
         """
         scaling_vector = self._resolve_scaling(scaling)
         compiled = self._sync_compiled()
@@ -899,16 +893,8 @@ class MappingEvaluator:
             self._assembly_memo[scaling] = terms
         return terms
 
-    def batched_scheduler_for(
-        self, scaling: Tuple[int, ...]
-    ) -> Optional[BatchedListScheduler]:
-        """The (memoized) vectorized batch scheduler for one scaling.
-
-        ``None`` when numpy is unavailable — callers fall back to the
-        per-mapping loop path.
-        """
-        if not numpy_available():
-            return None
+    def batched_scheduler_for(self, scaling: Tuple[int, ...]) -> BatchedListScheduler:
+        """The (memoized) vectorized batch scheduler for one scaling."""
         self._sync_compiled()
         batched = self._batched_schedulers.get(scaling)
         if batched is None:

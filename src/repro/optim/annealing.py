@@ -36,12 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.arch.mpsoc import MPSoC
 from repro.arch.power import PowerModel
-from repro.exec.backends import (
-    BACKEND_NAMES,
-    BackendSpec,
-    SerialBackend,
-    resolve_backend,
-)
+from repro.exec.dag import current_executor
 from repro.faults.ser import SERModel
 from repro.mapping.incremental import (
     IncrementalMappingState,
@@ -72,15 +67,8 @@ class AnnealingConfig:
         Independent annealing runs; the best result wins.
     deadline_penalty_weight:
         Weight of the deadline-violation penalty.
-    restart_backend:
-        Execution backend the restarts are dispatched through
-        (``None``/``"serial"``, ``"thread"``, ``"process"`` or
-        ``"auto"``).  Restarts are independent seeded runs (restart
-        *r* draws from ``seed + r``), and the serial best-of ranking
-        is replayed over the restart-ordered results, so every backend
-        selects the bit-identical design point; only wall-clock
-        changes.  Kept as a plain string so the config itself stays
-        picklable (restart jobs ship their config to workers).
+
+    The config is picklable: restart jobs ship it to workers.
     """
 
     max_iterations: int = 3000
@@ -88,7 +76,6 @@ class AnnealingConfig:
     cooling: float = 0.999
     restarts: int = 1
     deadline_penalty_weight: float = 10.0
-    restart_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.max_iterations <= 0:
@@ -99,11 +86,6 @@ class AnnealingConfig:
             raise ValueError("cooling must be in (0, 1)")
         if self.restarts <= 0:
             raise ValueError("restarts must be positive")
-        if self.restart_backend is not None and self.restart_backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown restart_backend {self.restart_backend!r}; "
-                f"choose from {BACKEND_NAMES}"
-            )
 
 
 @dataclass(frozen=True)
@@ -267,13 +249,9 @@ class SimulatedAnnealingMapper:
         changes the visit sequence (like ``screening``, with which it
         is mutually exclusive) but stays fully deterministic under a
         seed.  0 (default) keeps the serial loop.
-    backend:
-        Execution backend for dispatching the restarts; overrides
-        ``config.restart_backend`` when given.  Any choice returns the
-        bit-identical best design (see
-        :attr:`AnnealingConfig.restart_backend`).
-    max_workers:
-        Pool size cap when the restart backend is pooled.
+
+    Restarts run on the ambient executor when one is in scope (see
+    :meth:`run`).
     """
 
     def __init__(
@@ -287,8 +265,6 @@ class SimulatedAnnealingMapper:
         screening: object = False,
         screen_threshold: float = 1e-3,
         batch_size: int = 0,
-        backend: BackendSpec = None,
-        max_workers: Optional[int] = None,
     ) -> None:
         self.evaluator = evaluator
         self.raw_objective = objective
@@ -308,8 +284,6 @@ class SimulatedAnnealingMapper:
                 "are mutually exclusive"
             )
         self.batch_size = batch_size
-        self.backend: BackendSpec = backend
-        self.max_workers = max_workers
         self.screened_moves = 0  # neighbours pruned without evaluation
         self.screened_moves_per_restart: List[int] = []  # per run(), in restart order
         self.restart_evaluations: List[int] = []  # evaluate() calls per restart
@@ -337,10 +311,12 @@ class SimulatedAnnealingMapper:
         score; among feasible points the raw objective decides.
 
         Restarts are independent seeded runs (restart *r* draws from
-        ``seed + r``), so they can be dispatched through an execution
-        backend; the serial best-of ranking is replayed over the
-        restart-ordered results, making the selection bit-identical to
-        a serial loop whatever backend runs the restarts.  Stats reset
+        ``seed + r``).  With more than one restart and an executor in
+        scope (:func:`~repro.exec.dag.current_executor`) they run as
+        leaves on that executor, tagged with the scope's source label;
+        the serial best-of ranking is replayed over the restart-ordered
+        results, making the selection bit-identical to the serial loop
+        that runs them when no executor is in scope.  Stats reset
         on every call: ``screened_moves`` totals this run's pruned
         neighbours, ``screened_moves_per_restart`` /
         ``restart_evaluations`` / ``inner_stats_per_restart`` break
@@ -381,16 +357,8 @@ class SimulatedAnnealingMapper:
         self.inner_stats = InnerLoopStats()
         self.inner_stats_per_restart = []
         loop = self._run_once_reference if reference else self._run_once
-        spec = self.backend if self.backend is not None else self.config.restart_backend
-        resolved = resolve_backend(
-            spec,
-            task_count=restarts,
-            probe_factory=lambda: self._restart_job(
-                initial, scaling_tuple, 0, reference
-            ),
-            max_workers=self.max_workers,
-        )
-        if restarts == 1 or isinstance(resolved, SerialBackend):
+        executor = current_executor() if restarts > 1 else None
+        if executor is None:
             candidates = []
             for restart in range(restarts):
                 screened_before = self.screened_moves
@@ -408,11 +376,7 @@ class SimulatedAnnealingMapper:
                 self._restart_job(initial, scaling_tuple, restart, reference)
                 for restart in range(restarts)
             ]
-            try:
-                results = resolved.map(_run_restart_job, jobs)
-            finally:
-                if resolved is not spec:  # close pools we created here
-                    resolved.close()
+            results = executor.map(_run_restart_job, jobs)
             candidates = [result[0] for result in results]
             self.screened_moves_per_restart = [result[1] for result in results]
             self.restart_evaluations = [result[2] for result in results]

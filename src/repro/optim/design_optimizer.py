@@ -14,22 +14,22 @@ The mapping stage is pluggable so the same loop drives both the
 proposed optimization (:func:`sea_mapper` — Exp:4) and the soft
 error-unaware baselines (:func:`baseline_mapper` with a register /
 makespan / product objective — Exp:1-3).
+
+Parallelism is not a knob of this module.  :meth:`DesignOptimizer.
+optimize` asks :func:`~repro.exec.dag.current_executor`: with an
+executor in scope the sweep's scalings and annealing restarts become
+leaves on it, and with none the serial reference sweep runs.  Both
+select the identical design.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.arch.mpsoc import MPSoC
 from repro.arch.power import PowerModel
-from repro.exec.backends import (
-    BackendSpec,
-    ExecutionBackend,
-    SerialBackend,
-    resolve_backend,
-)
-from repro.exec.dag import SharedExecutorBackend
+from repro.exec.dag import DagExecutor, current_executor
 from repro.faults.ser import SERModel
 from repro.mapping.mapping import Mapping
 from repro.mapping.metrics import DesignPoint, MappingEvaluator
@@ -53,14 +53,12 @@ Mapper = Callable[[MappingEvaluator, Tuple[int, ...], Optional[int]], DesignPoin
 class SEAMapper:
     """The proposed two-stage soft error-aware mapper (Exp:4).
 
-    A picklable callable (the process execution backend ships mappers
-    to workers); build via :func:`sea_mapper` for the documented
+    A picklable callable (process transports ship mappers to
+    workers); build via :func:`sea_mapper` for the documented
     defaults.
 
     ``restarts`` overrides the size-derived restart count of the
-    stage-2 annealer; ``restart_backend`` dispatches those restarts
-    through an execution backend (any choice selects the bit-identical
-    design — see :class:`~repro.optim.annealing.AnnealingConfig`).
+    stage-2 annealer.
     """
 
     search_iterations: int = 1500
@@ -69,7 +67,6 @@ class SEAMapper:
     engine: str = "anneal"
     screen_moves: object = False
     restarts: Optional[int] = None
-    restart_backend: Optional[str] = None
     batch_size: int = 0
 
     def __post_init__(self) -> None:
@@ -108,11 +105,7 @@ class SEAMapper:
             if self.restarts is not None
             else (2 if 1000 <= iterations <= 4000 else 1)
         )
-        config = AnnealingConfig(
-            max_iterations=iterations,
-            restarts=restarts,
-            restart_backend=self.restart_backend,
-        )
+        config = AnnealingConfig(max_iterations=iterations, restarts=restarts)
         mapper = SimulatedAnnealingMapper(
             evaluator,
             SEUObjective(),
@@ -171,7 +164,6 @@ def sea_mapper(
     engine: str = "anneal",
     screen_moves: object = False,
     restarts: Optional[int] = None,
-    restart_backend: Optional[str] = None,
     batch_size: int = 0,
 ) -> Mapper:
     """The proposed two-stage soft error-aware mapper (Exp:4).
@@ -195,10 +187,11 @@ def sea_mapper(
         visits different neighbours than an unscreened one; the paper
         artifacts keep it off.  ``"auto"`` screens only on graphs with
         >= 100 tasks, where the preview pays for itself.
-    restarts / restart_backend:
+    restarts:
         Stage-2 annealer restart count (``None`` keeps the
-        size-derived default) and the execution backend its restarts
-        run on; any backend selects the bit-identical design.
+        size-derived default).  The restarts run on the ambient
+        executor when one is in scope; any executor selects the
+        bit-identical design.
     batch_size:
         Batched candidate screening in the stage-2 engine: neighbours
         are drawn in chunks of this size and evaluated through the
@@ -214,7 +207,6 @@ def sea_mapper(
         engine=engine,
         screen_moves=screen_moves,
         restarts=restarts,
-        restart_backend=restart_backend,
         batch_size=batch_size,
     )
 
@@ -232,7 +224,6 @@ class BaselineMapper:
     require_all_cores: bool = True
     screen_moves: object = False
     restarts: Optional[int] = None
-    restart_backend: Optional[str] = None
     batch_size: int = 0
 
     def __post_init__(self) -> None:
@@ -252,11 +243,6 @@ class BaselineMapper:
             base,
             max_iterations=max(base.max_iterations, 100 * evaluator.graph.num_tasks),
             restarts=self.restarts if self.restarts is not None else base.restarts,
-            restart_backend=(
-                self.restart_backend
-                if self.restart_backend is not None
-                else base.restart_backend
-            ),
         )
         mapper = SimulatedAnnealingMapper(
             evaluator,
@@ -291,16 +277,14 @@ def baseline_mapper(
     require_all_cores: bool = True,
     screen_moves: object = False,
     restarts: Optional[int] = None,
-    restart_backend: Optional[str] = None,
     batch_size: int = 0,
 ) -> Mapper:
     """A soft error-unaware SA mapper for ``objective`` (Exp:1-3).
 
     Defaults follow the paper's baseline [13]: the annealer optimizes
     its objective without deadline awareness (the scaling sweep
-    handles timing) and keeps every core populated.  ``restarts`` /
-    ``restart_backend`` override the annealing config's restart count
-    and dispatch backend (results stay bit-identical across backends).
+    handles timing) and keeps every core populated.  ``restarts``
+    overrides the annealing config's restart count.
     """
     return BaselineMapper(
         objective=objective,
@@ -309,7 +293,6 @@ def baseline_mapper(
         require_all_cores=require_all_cores,
         screen_moves=screen_moves,
         restarts=restarts,
-        restart_backend=restart_backend,
         batch_size=batch_size,
     )
 
@@ -326,7 +309,9 @@ class _ScalingJob:
     Rebuilds a private :class:`MappingEvaluator` in the worker — the
     points it produces are a pure function of ``(graph, platform,
     mapper, scaling, seed)``, so a fresh evaluator returns exactly
-    what the shared serial evaluator would.
+    what the shared serial evaluator would.  Like every leaf it runs
+    with no executor in scope, so the mapper's restarts run serially
+    inside it.
     """
 
     graph: TaskGraph
@@ -356,11 +341,6 @@ class _ScalingJob:
             assert self.fixed_mapping is not None
             point = evaluator.evaluate(self.fixed_mapping, self.scaling)
         return point, evaluator.evaluations
-
-
-def _run_scaling_job(job: _ScalingJob) -> Tuple[DesignPoint, int]:
-    """Module-level trampoline so process pools can pickle the call."""
-    return job.run()
 
 
 def _run_dag_leaf(job) -> tuple:
@@ -411,26 +391,6 @@ def _checkpoint_record(
         checkpoint.record(position, (value, spent), sweep)
     except Exception:
         pass
-
-
-def _serial_restart_mapper(mapper: Optional[Mapper]) -> Optional[Mapper]:
-    """A copy of ``mapper`` with its restart dispatch forced serial.
-
-    A scaling job shipped to a parallel backend must not open a second
-    pool for its annealing restarts — the outer sweep already owns the
-    machine's parallelism, and nested pools would only oversubscribe
-    it.  By the restart determinism contract this changes wall-clock
-    only, never the selected design.  Mappers without the knob
-    (arbitrary callables) pass through unchanged.
-
-    Forced unconditionally on mappers that have the field: a
-    ``BaselineMapper`` may carry the backend inside its ``config``
-    with the field itself ``None``, and the field override always
-    wins in ``__call__``.
-    """
-    if is_dataclass(mapper) and hasattr(mapper, "restart_backend"):
-        return replace(mapper, restart_backend="serial")
-    return mapper
 
 
 @dataclass(frozen=True)
@@ -527,22 +487,9 @@ class DesignOptimizer:
         baseline flow of Section V: the mapping is optimized once for
         its objective at nominal scaling, then the scaling sweep only
         re-times that fixed mapping.
-    backend:
-        Execution backend for the scaling sweep: ``None``/``"serial"``
-        (default), ``"thread"``, ``"process"``, ``"auto"`` or an
-        :class:`~repro.exec.backends.ExecutionBackend` instance.
-        Scalings are independent (per-scaling seeds, private
-        evaluators), and the serial early-exit policy is replayed
-        over the ordered parallel results, so every backend selects
-        the **identical** design; only wall-clock changes.  The
-        ``"dag"`` spec resolves to the shared work-stealing executor
-        of the active ``executor_scope`` (serial outside one) and
-        additionally decomposes each scaling into restart-level
-        leaves via the mapper's ``restart_plan`` hook.
-    max_workers:
-        Pool size cap for pooled backends resolved from a string spec
-        (``None`` sizes pools from the machine).  Ignored when
-        ``backend`` is already an :class:`ExecutionBackend` instance.
+
+    Where the sweep runs is not configured here: :meth:`optimize`
+    asks :func:`~repro.exec.dag.current_executor` (see there).
     """
 
     def __init__(
@@ -558,8 +505,6 @@ class DesignOptimizer:
         seed: Optional[int] = 0,
         tiebreak: Optional[Objective] = None,
         remap_per_scaling: bool = True,
-        backend: BackendSpec = None,
-        max_workers: Optional[int] = None,
     ) -> None:
         if deadline_s <= 0:
             raise ValueError("deadline must be positive")
@@ -581,10 +526,6 @@ class DesignOptimizer:
         self.stop_after_feasible = stop_after_feasible
         self.seed = seed
         self.remap_per_scaling = remap_per_scaling
-        self.backend: BackendSpec = backend
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self.max_workers = max_workers
 
     def power_proxy(self, scaling: Tuple[int, ...]) -> float:
         """Cheap analytic power estimate for ordering the sweep.
@@ -618,7 +559,6 @@ class DesignOptimizer:
     def optimize(
         self,
         scalings: Optional[Sequence[Tuple[int, ...]]] = None,
-        backend: BackendSpec = None,
     ) -> OptimizationOutcome:
         """Run the loop over ``scalings``.
 
@@ -628,11 +568,13 @@ class DesignOptimizer:
         also the cheapest, which both matches the paper's
         lowest-power-first intent and makes early stopping sound.
 
-        ``backend`` overrides the optimizer's configured execution
-        backend for this call.  Parallel runs assess scalings
+        With an executor in scope (:func:`~repro.exec.dag.
+        current_executor`) the sweep runs on it (:meth:`_optimize_dag`);
+        otherwise it runs the serial reference loop
+        (:meth:`_optimize_serial`).  The DAG sweep assesses scalings
         concurrently in ordered waves (each job with the same
         per-scaling deterministic seed and a private evaluator), then
-        replay the serial early-exit policy over the ordered results,
+        replays the serial early-exit policy over the ordered results,
         so the returned assessments and the selected design are
         identical to a serial run; ``evaluations`` additionally counts
         the bounded tail of work (at most one wave past the serial
@@ -682,37 +624,13 @@ class DesignOptimizer:
                     sweep,
                 )
 
-        spec = backend if backend is not None else self.backend
-        # The probe is only built if the "auto" branch needs to pickle
-        # one — constructing a full _ScalingJob for a serial run (or a
-        # spec that never probes) would be pure waste.
-        resolved = resolve_backend(
-            spec,
-            task_count=len(scalings),
-            probe_factory=(
-                (lambda: self._scaling_job(scalings[0], fixed_mapping))
-                if scalings
-                else None
-            ),
-            max_workers=self.max_workers,
-        )
-        if isinstance(resolved, SerialBackend):
+        executor = current_executor()
+        if executor is None:
             outcome = self._optimize_serial(scalings, fixed_mapping, checkpoint, sweep)
-        elif isinstance(resolved, SharedExecutorBackend):
-            # The unified DAG executor: flatten scalings x restarts
-            # into leaf tasks on the shared queue.  Nothing to close —
-            # the executor belongs to whoever opened the scope.
-            outcome = self._optimize_dag(
-                scalings, fixed_mapping, resolved, checkpoint, sweep
-            )
         else:
-            try:
-                outcome = self._optimize_parallel(
-                    scalings, fixed_mapping, resolved, checkpoint, sweep
-                )
-            finally:
-                if resolved is not spec:  # close pools we created here
-                    resolved.close()
+            outcome = self._optimize_dag(
+                scalings, fixed_mapping, executor, checkpoint, sweep
+            )
         # Evaluations restored from checkpoints were counted by the
         # interrupted run's evaluators; adding them back keeps the
         # total identical to an uninterrupted sweep (the counter is
@@ -776,102 +694,35 @@ class DesignOptimizer:
         outcome.evaluations = self.evaluator.evaluations + restored_evaluations
         return outcome
 
-    def _optimize_parallel(
-        self,
-        scalings: Sequence[Tuple[int, ...]],
-        fixed_mapping: Optional[Mapping],
-        backend: ExecutionBackend,
-        checkpoint: Optional[CellCheckpoint] = None,
-        sweep: int = 0,
-    ) -> OptimizationOutcome:
-        """Assess scalings concurrently, then replay the serial policy.
-
-        Each job carries its own deterministic seed and rebuilds a
-        private evaluator, so the produced design points match the
-        serial sweep's exactly; replaying the ordered results through
-        the same unhelpful-streak rule yields the identical
-        assessment list — and therefore the identical selection.
-
-        Jobs are dispatched in ordered *waves* (not all at once) when
-        the early exit is armed: once the replay stops inside a wave,
-        later waves are never dispatched, bounding the extra work a
-        parallel sweep spends past the serial stop point to one wave.
-
-        Checkpointed positions are restored instead of dispatched —
-        interchangeably with the serial sweep's records, because a
-        job's private evaluator counts exactly the calls the shared
-        serial evaluator would — and fresh results are recorded as
-        each wave completes (wave granularity, not per-scaling: the
-        pool returns a wave at a time).
-        """
-        outcome = OptimizationOutcome(best=None)
-        child_evaluations = 0
-        unhelpful_streak = 0
-        min_feasible_power: Optional[float] = None
-        stopped = False
-        if self.stop_after_feasible is None:
-            wave_size = len(scalings)  # no early exit: one full wave
-        else:
-            wave_size = max(2 * self.stop_after_feasible, 8)
-        cursor = 0
-        while cursor < len(scalings) and not stopped:
-            wave = scalings[cursor : cursor + wave_size]
-            wave_start = cursor
-            cursor += len(wave)
-            wave_results: List[Optional[Tuple[DesignPoint, int]]] = [
-                _checkpoint_restore(checkpoint, wave_start + offset, sweep)
-                for offset in range(len(wave))
-            ]
-            misses = [
-                offset for offset, result in enumerate(wave_results) if result is None
-            ]
-            jobs = [
-                self._scaling_job(wave[offset], fixed_mapping, serial_restarts=True)
-                for offset in misses
-            ]
-            computed = backend.map(_run_scaling_job, jobs) if jobs else []
-            for offset, (point, spent) in zip(misses, computed):
-                wave_results[offset] = (point, spent)
-                _checkpoint_record(
-                    checkpoint, wave_start + offset, point, spent, sweep
-                )
-            for scaling, (point, spent) in zip(wave, wave_results):
-                child_evaluations += spent
-                if stopped:
-                    continue  # tail of the wave the serial sweep would skip
-                feasible = point.makespan_s <= self.deadline_s + 1e-12
-                outcome.assessments.append(
-                    ScalingAssessment(scaling=scaling, point=point, feasible=feasible)
-                )
-                stopped, unhelpful_streak, min_feasible_power = self._streak_step(
-                    point, feasible, unhelpful_streak, min_feasible_power
-                )
-        outcome.evaluations = self.evaluator.evaluations + child_evaluations
-        return outcome
-
     def _optimize_dag(
         self,
         scalings: Sequence[Tuple[int, ...]],
         fixed_mapping: Optional[Mapping],
-        backend: ExecutionBackend,
+        executor: DagExecutor,
         checkpoint: Optional[CellCheckpoint] = None,
         sweep: int = 0,
     ) -> OptimizationOutcome:
-        """The unified-executor sweep: restart-level leaves, shared queue.
+        """The executor sweep: restart-level leaves on the shared queue.
 
-        Like :meth:`_optimize_parallel` — ordered waves, then the
-        serial streak replay over ordered results — but each scaling
-        whose mapper exposes a ``restart_plan`` is decomposed into
-        individual restart leaves (reassembled by the plan's ranking
-        replay), and *all* leaves of a wave go out in one ordered
-        batch on the shared executor.  Two consequences the per-cut
-        fan-out cannot offer: a scaling's restarts from different
-        cells interleave on the same workers, and even single-restart
-        scalings ship to the pool instead of pinning a coordinator.
+        Scalings are assessed in ordered *waves* (not all at once) when
+        the early exit is armed: once the streak replay stops inside a
+        wave, later waves are never dispatched, bounding the extra work
+        past the serial stop point to one wave.  Each scaling whose
+        mapper exposes a ``restart_plan`` is decomposed into individual
+        restart leaves (reassembled by the plan's ranking replay); any
+        other scaling ships as one :class:`_ScalingJob` leaf.  *All*
+        leaves of a wave go out in one ordered batch, so restarts from
+        different cells interleave on the same workers and even
+        single-restart scalings ship to the pool instead of pinning a
+        coordinator.
 
         Determinism is untouched: leaf seeds, the per-plan best-of
         replay and the streak replay are verbatim the serial policies
         over results reassembled in canonical scaling/restart order.
+        Checkpointed positions are restored instead of dispatched —
+        interchangeably with the serial sweep's records, because a
+        leaf's private evaluator counts exactly the calls the shared
+        serial evaluator would.
         """
         outcome = OptimizationOutcome(best=None)
         child_evaluations = 0
@@ -915,11 +766,9 @@ class DesignOptimizer:
                 if plan is not None:
                     leaves.extend(plan.jobs)
                 else:
-                    leaves.append(
-                        self._scaling_job(scaling, fixed_mapping, serial_restarts=True)
-                    )
+                    leaves.append(self._scaling_job(scaling, fixed_mapping))
                 slices.append((plan, start, len(leaves)))
-            results = backend.map(_run_dag_leaf, leaves) if leaves else []
+            results = executor.map(_run_dag_leaf, leaves) if leaves else []
             for offset, (scaling, piece) in enumerate(zip(wave, slices)):
                 if piece is None:
                     point, spent = restored_wave[offset]
@@ -949,12 +798,8 @@ class DesignOptimizer:
         self,
         scaling: Tuple[int, ...],
         fixed_mapping: Optional[Mapping],
-        serial_restarts: bool = False,
     ) -> _ScalingJob:
         evaluator = self.evaluator
-        mapper = self.mapper if fixed_mapping is None else None
-        if serial_restarts:
-            mapper = _serial_restart_mapper(mapper)
         return _ScalingJob(
             graph=self.graph,
             platform=self.platform,
@@ -962,7 +807,7 @@ class DesignOptimizer:
             ser_model=evaluator.ser_model,
             power_model=evaluator.power_model,
             comm_model=evaluator.comm_model,
-            mapper=mapper,
+            mapper=self.mapper if fixed_mapping is None else None,
             fixed_mapping=fixed_mapping,
             scaling=scaling,
             seed=None if self.seed is None else self.seed + self._scaling_seed(scaling),
@@ -977,8 +822,8 @@ class DesignOptimizer:
     ) -> Tuple[bool, int, Optional[float]]:
         """One step of the early-exit bookkeeping (see class docstring).
 
-        Shared verbatim between the serial sweep and the parallel
-        replay so the two can never drift apart.
+        Shared verbatim between the serial sweep and the DAG replay so
+        the two can never drift apart.
         """
         if feasible:
             band = (

@@ -19,11 +19,7 @@ from repro.sched.schedule import (
     set_from_arrays_validation,
 )
 from repro.sched.list_scheduler import ListScheduler
-from repro.sched.batched import (
-    BatchedListScheduler,
-    BatchScheduleResult,
-    numpy_available,
-)
+from repro.sched.batched import BatchedListScheduler, BatchScheduleResult
 
 __all__ = [
     "BatchedListScheduler",
@@ -32,6 +28,5 @@ __all__ = [
     "Schedule",
     "ScheduledTask",
     "from_arrays_validation_enabled",
-    "numpy_available",
     "set_from_arrays_validation",
 ]

@@ -40,29 +40,20 @@ the step's edges in insertion order (the bus serialization is
 order-sensitive) with the per-edge update still vectorized across the
 batch.
 
-numpy is an optional dependency: :func:`numpy_available` reports
-whether the fast path can run, and callers (see
-:meth:`~repro.mapping.metrics.MappingEvaluator.evaluate_batch`) fall
-back to the per-mapping loop when it cannot.
+The per-mapping loop (:meth:`~repro.mapping.metrics.MappingEvaluator.
+evaluate_batch_reference`) stays as the oracle this kernel is diffed
+against.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.mapping.mapping import Mapping
 from repro.sched.schedule import Schedule
 from repro.taskgraph.graph import TaskGraph
-
-try:  # gated: the container image may lack numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via numpy_available()
-    _np = None
-
-
-def numpy_available() -> bool:
-    """Whether the vectorized batch path can run in this interpreter."""
-    return _np is not None
 
 
 class BatchScheduleResult:
@@ -194,12 +185,6 @@ class BatchedListScheduler:
     additionally lowers the compiled graph's static pop order and
     per-step predecessor slices into numpy arrays, shared by every
     :meth:`run` call.
-
-    Raises
-    ------
-    RuntimeError
-        If numpy is not importable; gate call sites on
-        :func:`numpy_available`.
     """
 
     _COMM_MODELS = ("dedicated", "shared-bus")
@@ -212,10 +197,6 @@ class BatchedListScheduler:
         bus_frequency_hz: Optional[float] = None,
         cycle_scales: Optional[Sequence[float]] = None,
     ) -> None:
-        if _np is None:
-            raise RuntimeError(
-                "BatchedListScheduler needs numpy; gate on numpy_available()"
-            )
         graph.validate()
         if not frequencies_hz:
             raise ValueError("need at least one core frequency")
@@ -260,13 +241,13 @@ class BatchedListScheduler:
         for _, preds in compiled.schedule_steps:
             if preds:
                 producers, comms = zip(*preds)
-                self._step_preds.append(_np.array(producers, dtype=_np.intp))
-                self._step_comm.append(_np.array(comms, dtype=_np.int64))
+                self._step_preds.append(np.array(producers, dtype=np.intp))
+                self._step_comm.append(np.array(comms, dtype=np.int64))
             else:
                 self._step_preds.append(None)
                 self._step_comm.append(None)
-        self._freq_array = _np.array(self._frequencies, dtype=_np.float64)
-        self._cycles_array = _np.array(compiled.cycles, dtype=_np.int64)
+        self._freq_array = np.array(self._frequencies, dtype=np.float64)
+        self._cycles_array = np.array(compiled.cycles, dtype=np.int64)
         # Heterogeneous platforms: a (num_cores, T) cycle matrix so the
         # timing pass can gather per-(core, task) compute costs; None
         # keeps the homogeneous python-int path bit for bit.
@@ -275,8 +256,8 @@ class BatchedListScheduler:
             self._core_cycles_array = None
         else:
             self._core_cycles_rows = compiled.cycles_for_cores(self._cycle_scales)
-            self._core_cycles_array = _np.array(
-                self._core_cycles_rows, dtype=_np.int64
+            self._core_cycles_array = np.array(
+                self._core_cycles_rows, dtype=np.int64
             )
 
     @property
@@ -316,7 +297,7 @@ class BatchedListScheduler:
         n = compiled.num_tasks
         num_cores = self.num_cores
         batch = len(core_rows)
-        cores = _np.asarray(core_rows, dtype=_np.int64)
+        cores = np.asarray(core_rows, dtype=np.int64)
         if cores.size == 0:
             cores = cores.reshape(batch, n if batch == 0 else -1)
         if cores.ndim != 2 or (batch and cores.shape[1] != n):
@@ -329,10 +310,10 @@ class BatchedListScheduler:
                 f"core indices must lie in 0..{num_cores - 1}"
             )
 
-        starts = _np.zeros((batch, n), dtype=_np.float64)
-        finishes = _np.zeros((batch, n), dtype=_np.float64)
-        receive = _np.zeros((batch, n), dtype=_np.int64)
-        busy_s = _np.zeros((batch, num_cores), dtype=_np.float64)
+        starts = np.zeros((batch, n), dtype=np.float64)
+        finishes = np.zeros((batch, n), dtype=np.float64)
+        receive = np.zeros((batch, n), dtype=np.int64)
+        busy_s = np.zeros((batch, num_cores), dtype=np.float64)
         if batch:
             self._run_steps(cores, starts, finishes, receive, busy_s)
             # Integer busy sums are order-insensitive (exact below
@@ -341,19 +322,19 @@ class BatchedListScheduler:
                 occupancy = self._cycles_array + receive
             else:
                 occupancy = (
-                    self._core_cycles_array[cores, _np.arange(n)] + receive
+                    self._core_cycles_array[cores, np.arange(n)] + receive
                 )
-            busy_cycles = _np.stack(
+            busy_cycles = np.stack(
                 [
-                    _np.where(cores == core, occupancy, 0).sum(axis=1)
+                    np.where(cores == core, occupancy, 0).sum(axis=1)
                     for core in range(num_cores)
                 ],
                 axis=1,
             )
         else:
-            busy_cycles = _np.zeros((batch, num_cores), dtype=_np.int64)
+            busy_cycles = np.zeros((batch, num_cores), dtype=np.int64)
         makespans = (
-            finishes.max(axis=1) if n and batch else _np.zeros(batch)
+            finishes.max(axis=1) if n and batch else np.zeros(batch)
         )
         return BatchScheduleResult(
             order=self._order,
@@ -373,7 +354,6 @@ class BatchedListScheduler:
 
     def _run_steps(self, cores, starts, finishes, receive, busy_s) -> None:
         """The sequential-over-tasks, vectorized-over-batch timing pass."""
-        np = _np
         compiled = self._compiled
         cycles = compiled.cycles
         core_cycles_arr = self._core_cycles_array

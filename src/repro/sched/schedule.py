@@ -47,8 +47,8 @@ def set_from_arrays_validation(enabled: bool) -> bool:
 
     Per-process only: process-pool workers import this module afresh
     and never see the parent's toggle.  To vet producers that build
-    schedules *inside* workers (restart or experiment fan-out jobs on
-    the process backend), set ``REPRO_VALIDATE_SCHEDULES=1`` in the
+    schedules *inside* workers (restart or scaling leaves on the
+    process transport), set ``REPRO_VALIDATE_SCHEDULES=1`` in the
     environment instead — workers inherit the environment, so the
     flag arms validation everywhere.
     """

@@ -54,8 +54,8 @@ Checkpoints reach the optimizer without threading a parameter through
 every cell signature: the cell runner opens a thread-local
 :func:`checkpoint_scope` around ``cell.run()``, and
 ``DesignOptimizer.optimize`` probes :func:`current_checkpoint`.  Cells
-dispatched to process pools carry the checkpoint *path* (the scope is
-re-opened worker-side), so all execution backends checkpoint alike.
+carry the checkpoint *path* (the scope is re-opened on whichever
+thread runs the cell), so every execution plan checkpoints alike.
 """
 
 from __future__ import annotations

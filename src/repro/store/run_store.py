@@ -34,8 +34,8 @@ from a record equals the result of re-running its cell, and a resumed
 run's reassembled grid — and every report rendered from it — is
 byte-identical to an uninterrupted run.  The profile fingerprint
 covers exactly the result-determining profile fields; execution
-fields (backends, worker caps) are excluded, so a store written by a
-serial run resumes on a process backend and vice versa.
+fields (exec plan, worker caps) are excluded, so a store written by a
+serial run resumes under ``dag:process`` and vice versa.
 """
 
 from __future__ import annotations

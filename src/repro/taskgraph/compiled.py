@@ -33,7 +33,7 @@ The view is immutable and cached on the graph (see
 :meth:`~repro.taskgraph.graph.TaskGraph.compiled`); any graph mutation
 invalidates the cache.  All values are plain Python ints/floats — no
 third-party array dependency — which keeps the view picklable for the
-process execution backend.
+process transport.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.taskgraph.registers import Register
 #: Seed base for the per-graph signature hash tables.  The tables only
 #: have to be deterministic per (graph shape, core count) so that the
 #: same signature always hashes identically within a process *and*
-#: across the process execution backend's workers; the constant itself
+#: across the process transport's workers; the constant itself
 #: is arbitrary.
 _SIGNATURE_SEED = 0x5EA7C0DE
 

@@ -241,6 +241,30 @@ class TestSubmitRun:
         assert variant.run_id == first.run_id
         assert counting_run_experiment == ["fig3"]
 
+    def test_percut_plan_accepted_and_stored(
+        self, tmp_path, counting_run_experiment
+    ):
+        # "percut" stays a valid plan in payloads and stored records:
+        # it is the serial plan, so it wins over a service-wide dag
+        # default and shares the serial run's cache entry.
+        spec = api.RunSpec.coerce(
+            {"experiment": "fig3", "profile": "smoke", "exec_plan": "percut"}
+        )
+        assert spec.build_profile().exec_plan == "percut"
+        assert not spec.build_profile().uses_dag_executor()
+        queued = api.submit_run(spec, tmp_path, wait=False)
+        record = json.loads(
+            (tmp_path / "runs" / queued.run_id / "run.json").read_text()
+        )
+        assert record["spec"]["exec_plan"] == "percut"
+        done = api.run_submitted(tmp_path, queued.run_id, exec_plan="dag:thread")
+        assert done.state == "complete"
+        _, direct = run_experiment("fig3", ExperimentProfile.smoke())
+        assert api.fetch_report(tmp_path, queued.run_id) == direct + "\n"
+        assert counting_run_experiment == ["fig3"]
+        serial = api.submit_run({"experiment": "fig3", "profile": "smoke"}, tmp_path)
+        assert serial.run_id == queued.run_id and serial.cached is True
+
     def test_fetch_report_unknown_and_incomplete(self, tmp_path):
         with pytest.raises(api.UnknownRunError):
             api.fetch_report(tmp_path, "nope-000000000000")
@@ -402,6 +426,31 @@ class TestExecuteRun:
             assert (
                 outcome.executor_stats.to_dict() == executor.stats.to_dict()
             )
+
+    def test_serial_profile_masks_ambient_executor(self, monkeypatch):
+        # The service opens an executor scope around every job; a job
+        # whose plan is serial ("percut" is its alias) must not reach
+        # it, even in experiments that sweep outside any grid (table2).
+        from repro.exec.dag import DagExecutor, current_executor, executor_scope
+
+        seen = []
+        real = api.run_experiment
+
+        def probing(experiment_id, profile=None):
+            seen.append(current_executor())
+            return real(experiment_id, profile)
+
+        monkeypatch.setattr(api, "run_experiment", probing)
+        reference = api.execute_run("table2", ExperimentProfile.smoke()).report
+        for plan in (None, "percut"):
+            profile = ExperimentProfile.smoke().with_exec_plan(plan)
+            with DagExecutor.from_spec("thread", max_workers=2) as executor:
+                with executor_scope(executor, "job"):
+                    outcome = api.execute_run("table2", profile)
+                assert executor.stats.submitted == 0
+            assert outcome.executor_stats is None
+            assert outcome.report == reference
+        assert seen == [None, None, None]
 
     def test_run_spec_frozen(self):
         spec = api.RunSpec.coerce("fig3")

@@ -16,7 +16,7 @@ import pytest
 
 from repro.arch import MPSoC
 from repro.mapping import Mapping
-from repro.sched import BatchedListScheduler, ListScheduler, numpy_available
+from repro.sched import BatchedListScheduler, ListScheduler
 from repro.taskgraph import (
     RandomGraphConfig,
     fork_join_graph,
@@ -24,11 +24,6 @@ from repro.taskgraph import (
     pipeline_graph,
     random_task_graph,
 )
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy unavailable: vectorized path disabled"
-)
-
 
 def _random_mappings(graph, num_cores, count, seed):
     rng = random.Random(seed)

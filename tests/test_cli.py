@@ -77,9 +77,7 @@ class TestCommands:
 class TestParallelFlags:
     def test_defaults(self):
         args = build_parser().parse_args(["experiment", "fig3"])
-        assert args.backend == "serial"
-        assert args.experiment_backend == "serial"
-        assert args.restart_backend == "serial"
+        assert args.exec_plan is None
         assert args.max_workers is None
         assert args.restarts is None
 
@@ -90,36 +88,26 @@ class TestParallelFlags:
             [
                 "experiment",
                 "table3",
-                "--backend",
-                "thread",
-                "--experiment-backend",
-                "process",
-                "--restart-backend",
-                "auto",
+                "--exec-plan",
+                "dag:thread",
                 "--max-workers",
                 "3",
                 "--restarts",
                 "2",
             ]
         )
-        # The per-cut flags still plumb through, but are deprecated in
-        # favour of --exec-plan.
-        with pytest.warns(DeprecationWarning, match="--exec-plan dag"):
-            profile = _profile_from(args)
-        assert profile.exec_backend == "thread"
-        assert profile.experiment_backend == "process"
-        assert profile.restart_backend == "auto"
+        profile = _profile_from(args)
+        assert profile.exec_plan == "dag:thread"
         assert profile.exec_max_workers == 3
         assert profile.sa_restarts == 2
 
-    def test_deprecated_flags_warn_by_name(self):
-        from repro.cli import _profile_from
-
-        args = build_parser().parse_args(
-            ["experiment", "fig3", "--restart-backend", "thread"]
-        )
-        with pytest.warns(DeprecationWarning, match="--restart-backend"):
-            _profile_from(args)
+    def test_deprecated_flags_warn_by_name(self, capsys):
+        # The per-cut pool flags are gone; argparse names the one used.
+        for flag in ("--backend", "--experiment-backend", "--restart-backend"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["experiment", "fig3", flag, "thread"])
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_serial_flags_leave_profile_defaults(self):
         from repro.cli import _profile_from
@@ -127,6 +115,46 @@ class TestParallelFlags:
 
         args = build_parser().parse_args(["experiment", "fig3"])
         assert _profile_from(args) == ExperimentProfile.fast()
+
+    def test_percut_plan_is_the_serial_alias(self):
+        from repro.cli import _profile_from
+
+        args = build_parser().parse_args(
+            ["experiment", "fig3", "--exec-plan", "percut"]
+        )
+        profile = _profile_from(args)
+        assert profile.exec_plan == "percut"
+        assert not profile.uses_dag_executor()
+
+
+class TestProfileValidation:
+    """Out-of-range counts are usage errors, not tracebacks mid-run."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--max-workers", "0"], "exec_max_workers must be at least 1, got 0"),
+            (["--restarts", "0"], "sa_restarts must be at least 1, got 0"),
+            (
+                ["--max-workers", "-2", "--exec-plan", "dag:thread"],
+                "exec_max_workers must be at least 1, got -2",
+            ),
+        ],
+    )
+    def test_bad_counts_exit_with_usage_error(self, argv, message):
+        from repro.cli import _profile_from
+
+        args = build_parser().parse_args(
+            ["experiment", "fig11", "--profile", "smoke", *argv]
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            _profile_from(args)
+        assert str(excinfo.value) == f"repro-seu: error: {message}"
+
+    def test_main_reports_bad_count_before_running(self, capsys):
+        with pytest.raises(SystemExit, match="repro-seu: error: sa_restarts"):
+            main(["experiment", "fig11", "--profile", "smoke", "--restarts", "0"])
+        assert capsys.readouterr().out == ""
 
 
 class TestBatchEvalFlags:

@@ -1,7 +1,7 @@
 """The unified work-stealing DAG executor and its determinism contract.
 
 Covers the transport layer, the executor's ordered-reassembly and
-stats accounting, the ambient ``"dag"`` backend wiring, the
+stats accounting, the ambient executor scope, the
 ``exec_plan`` profile field, optimizer-level serial/DAG parity
 (including exact evaluator-counter parity), and nested-grid
 byte-identical reports over thread and process transports.
@@ -16,24 +16,16 @@ from repro.exec import (
     DagExecutor,
     ExecutorStats,
     PoolTransport,
-    SerialBackend,
     SerialTransport,
-    SharedExecutorBackend,
-    ambient_backend,
     current_executor,
     executor_scope,
-    resolve_backend,
     resolve_transport,
 )
+from repro.exec.dag import current_source
 from repro.experiments import ExperimentProfile, run_table3
 from repro.experiments.common import EXEC_PLANS, build_optimizer, run_cells
 from repro.experiments.runner import render_report, run_all
 from repro.taskgraph import RandomGraphConfig, random_task_graph
-
-
-# Parts of this module deliberately exercise the deprecated per-cut
-# pools — they remain the legacy-parity reference paths.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def _square(value):
@@ -201,18 +193,22 @@ class TestDagExecutor:
 
 class TestAmbientScope:
     def test_dag_spec_degrades_to_serial_outside_scope(self):
+        # No scope (or a masking ``None`` scope): inner code finds no
+        # executor and runs its serial loops.
         assert current_executor() is None
-        assert isinstance(resolve_backend("dag"), SerialBackend)
-        assert isinstance(ambient_backend(), SerialBackend)
+        with DagExecutor(SerialTransport()) as executor:
+            with executor_scope(executor, "outer"):
+                with executor_scope(None):
+                    assert current_executor() is None
+                    assert current_source() is None
+                assert current_executor() is executor
 
     def test_dag_spec_binds_to_scoped_executor(self):
         with DagExecutor(SerialTransport()) as executor:
             with executor_scope(executor, "test-cell"):
-                backend = resolve_backend("dag")
-                assert isinstance(backend, SharedExecutorBackend)
-                assert backend.executor is executor
-                assert backend.source == "test-cell"
-                assert backend.map(_square, [2, 3]) == [4, 9]
+                assert current_executor() is executor
+                assert current_source() == "test-cell"
+                assert executor.map(_square, [2, 3]) == [4, 9]
         assert current_executor() is None
         assert executor.stats.per_worker  # leaves actually went through
 
@@ -238,35 +234,66 @@ class TestAmbientScope:
         assert observed == [None]
 
     def test_shared_backend_close_is_noop(self):
-        # resolve_backend callers close backends they resolved; the
-        # executor belongs to whoever opened the scope and must
-        # survive its views being closed.
-        with DagExecutor(SerialTransport()) as executor:
-            backend = SharedExecutorBackend(executor)
-            backend.close()
-            assert backend.map(_square, [5]) == [25]
+        # The executor belongs to whoever opened the scope: the grids
+        # and sweeps that use it must leave it open.
+        transport = PoolTransport("thread", max_workers=2)
+        with DagExecutor(transport) as executor:
+            executor.map(_square, [1])
+            pool = transport._executor
+            with executor_scope(executor, "owner"):
+                cells = [_Echo(ExperimentProfile.fast().with_exec_plan("dag"))] * 2
+                assert run_cells(cells, cells[0].profile) == ["echo", "echo"]
+            assert transport._executor is pool  # still the same, open pool
+            assert executor.map(_square, [5]) == [25]
+
+
+@dataclass(frozen=True)
+class _Echo:
+    profile: ExperimentProfile
+
+    def run(self):
+        return "echo"
+
+
+@dataclass(frozen=True)
+class _LeafScopeProbe:
+    """A cell whose one leaf reports the executor it sees."""
+
+    profile: ExperimentProfile
+
+    def run(self):
+        return current_executor().map(_leaf_scope, [0, 1])
+
+
+def _leaf_scope(_):
+    return current_executor()
+
+
+class TestLeafScope:
+    """A leaf never sees an ambient executor, whatever its transport."""
+
+    @pytest.mark.parametrize("plan", ["dag:serial", "dag:thread", "dag:process"])
+    def test_leaves_run_with_an_empty_scope(self, plan):
+        profile = ExperimentProfile.fast().with_exec_plan(plan).with_max_workers(2)
+        assert run_cells([_LeafScopeProbe(profile)], profile) == [[None, None]]
 
 
 # ---------------------------------------------------------------------------
-# The exec_plan profile field (deprecating the per-cut knobs)
+# The exec_plan profile field
 # ---------------------------------------------------------------------------
 
 
 class TestExecPlan:
     def test_default_is_percut(self):
-        profile = ExperimentProfile.fast()
-        assert profile.exec_plan is None
-        assert not profile.uses_dag_executor()
-        assert profile.sweep_backend() == "serial"
-        assert profile.restart_dispatch_backend() == "serial"
+        # The default plan is serial; "percut" names the same thing.
+        for plan in (None, "percut"):
+            profile = ExperimentProfile.fast().with_exec_plan(plan)
+            assert not profile.uses_dag_executor()
 
     def test_dag_plan_routes_all_cuts(self):
         profile = ExperimentProfile.fast().with_exec_plan("dag:thread")
         assert profile.uses_dag_executor()
         assert profile.dag_transport() == "thread"
-        assert profile.sweep_backend() == "dag"
-        assert profile.restart_dispatch_backend() == "dag"
-        assert profile.annealing_config().restart_backend == "dag"
 
     def test_bare_dag_defaults_to_auto_transport(self):
         assert ExperimentProfile.fast().with_exec_plan("dag").dag_transport() == "auto"
@@ -274,21 +301,6 @@ class TestExecPlan:
     def test_unknown_plan_rejected(self):
         with pytest.raises(ValueError, match="unknown exec_plan"):
             ExperimentProfile.fast().with_exec_plan("threads")
-
-    def test_dag_plan_conflicts_with_pooled_percut_knobs(self):
-        base = ExperimentProfile.fast().with_backend(exec_backend="process")
-        with pytest.raises(ValueError, match="conflicts with per-cut"):
-            base.with_exec_plan("dag")
-        with pytest.raises(ValueError, match="restart_backend"):
-            ExperimentProfile.fast().with_backend(
-                restart_backend="auto"
-            ).with_exec_plan("dag:process")
-
-    def test_serial_percut_knobs_are_compatible(self):
-        # "serial" per-cut values are the defaults — inert, not a
-        # second owner of the machine's parallelism.
-        profile = ExperimentProfile.fast().with_exec_plan("dag")
-        assert profile.exec_backend == "serial"
 
     def test_percut_plan_keeps_legacy_dispatch(self):
         profile = ExperimentProfile.fast().with_exec_plan("percut")
@@ -302,18 +314,6 @@ class TestExecPlan:
             tiny_profile.with_exec_plan("dag:process").result_fingerprint()
             == tiny_profile.result_fingerprint()
         )
-
-    def test_run_cells_rejects_backend_override_under_dag(self, tiny_profile):
-        @dataclass(frozen=True)
-        class Cell:
-            profile: ExperimentProfile
-
-            def run(self):  # pragma: no cover - never dispatched
-                return None
-
-        profile = tiny_profile.with_exec_plan("dag:serial")
-        with pytest.raises(ValueError, match="conflicts with an explicit"):
-            run_cells([Cell(profile)], profile, backend="thread")
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +380,9 @@ class TestOptimizerParity:
 
     def test_early_exit_replay_matches_serial(self):
         # With the early-exit policy active the wave tail may cost
-        # extra (uncounted-in-report) evaluations, exactly like the
-        # legacy parallel sweep — but the selected design and the
-        # assessment list must still replay the serial decisions.
+        # extra (uncounted-in-report) evaluations — but the selected
+        # design and the assessment list must still replay the serial
+        # decisions.
         graph, deadline_s = self._graph()
         profile = ExperimentProfile(
             name="parity",
@@ -569,20 +569,16 @@ class TestCliExecPlan:
         assert "percut" in EXEC_PLANS
 
     def test_conflicting_percut_flags_fail_fast(self):
-        from repro.cli import _profile_from, build_parser
+        # The per-cut pool flags are gone: argparse rejects them before
+        # any profile is built, so no second owner of parallelism can
+        # reach a run.
+        from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            [
-                "experiment",
-                "fig3",
-                "--exec-plan",
-                "dag",
-                "--backend",
-                "process",
-            ]
-        )
-        with pytest.raises(SystemExit, match="conflicts with the deprecated"):
-            _profile_from(args)
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["experiment", "fig3", "--exec-plan", "dag", "--backend", "process"]
+            )
+        assert excinfo.value.code == 2
 
     def test_runs_subcommand_prints_executor_stats(self, tmp_path, capsys):
         from repro.cli import main

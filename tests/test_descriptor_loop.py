@@ -4,7 +4,7 @@ The contract under test (ISSUE 5 / ARCHITECTURE "Search inner loop"):
 with the same seed, the descriptor-based ``run()`` of both searchers
 reproduces the Mapping-based ``run_reference()`` exactly — accepted
 points, RNG consumption, evaluation counts and cache hit/miss
-counters — on serial and process restart backends, screened and
+counters — with restarts run serially or on an executor, screened and
 unscreened, across randomized graphs.  Plus unit coverage for the
 :class:`MoveSampler` (RNG parity, Fenwick partner selection,
 occupancy tracking) and the inner-loop stats instrumentation.
@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.arch import MPSoC
+from repro.exec import DagExecutor, executor_scope
 from repro.mapping import Mapping, MappingEvaluator
 from repro.optim import (
     AnnealingConfig,
@@ -221,7 +222,6 @@ class TestAnnealerDescriptorParity:
             SEUObjective(),
             seed=3,
             config=AnnealingConfig(max_iterations=200, restarts=3),
-            backend=backend,
         )
         serial_reference = _annealer(
             mpeg2,
@@ -231,9 +231,12 @@ class TestAnnealerDescriptorParity:
             seed=3,
             config=AnnealingConfig(max_iterations=200, restarts=3),
         )
+        with DagExecutor.from_spec(backend, max_workers=2) as executor:
+            with executor_scope(executor):
+                point = parallel.run(initial, (2, 2, 3, 2))
+            assert executor.stats.tasks == 3  # one leaf per restart
         _assert_same_point(
-            parallel.run(initial, (2, 2, 3, 2)),
-            serial_reference.run_reference(initial, (2, 2, 3, 2)),
+            point, serial_reference.run_reference(initial, (2, 2, 3, 2))
         )
         assert (
             parallel.restart_evaluations == serial_reference.restart_evaluations

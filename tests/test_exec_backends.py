@@ -1,4 +1,9 @@
-"""Execution backends and the parallel design-sweep determinism contract."""
+"""Execution dispatch: the ambient DAG executor and the sweep determinism contract.
+
+The ambient :func:`~repro.exec.dag.executor_scope` is the only source
+of parallelism; these tests pin its transports, its ``auto`` policy
+and the serial/parallel design-sweep parity under it.
+"""
 
 import os
 import pickle
@@ -7,28 +12,31 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import (
-    BACKEND_NAMES,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    payload_picklable,
-    resolve_backend,
-)
 from repro.arch import MPSoC
+from repro.exec import (
+    TRANSPORT_NAMES,
+    DagExecutor,
+    PoolTransport,
+    SerialTransport,
+    current_executor,
+    executor_scope,
+    payload_picklable,
+    resolve_transport,
+)
 from repro.experiments import ExperimentProfile
+from repro.experiments.common import EXEC_PLANS
+from repro.mapping import Mapping, MappingEvaluator
 from repro.optim import (
+    AnnealingConfig,
     DesignOptimizer,
     RegisterUsageObjective,
+    SEUObjective,
+    SimulatedAnnealingMapper,
     baseline_mapper,
     sea_mapper,
 )
 from repro.taskgraph import mpeg2_decoder
 from repro.taskgraph.mpeg2 import MPEG2_DEADLINE_S
-
-# This module deliberately exercises the deprecated per-cut pools —
-# they remain the legacy-parity reference paths.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def _square(value):
@@ -37,37 +45,40 @@ def _square(value):
 
 class TestBackends:
     @pytest.mark.parametrize(
-        "backend", [SerialBackend(), ThreadBackend(max_workers=2)]
+        "backend", [SerialTransport(), PoolTransport("thread", max_workers=2)]
     )
     def test_map_preserves_order(self, backend):
-        with backend:
-            assert backend.map(_square, list(range(20))) == [
+        with DagExecutor(backend) as executor:
+            assert executor.map(_square, list(range(20))) == [
                 value * value for value in range(20)
             ]
 
     def test_process_map_preserves_order(self):
-        with ProcessBackend(max_workers=2) as backend:
-            assert backend.map(_square, list(range(8))) == [
+        with DagExecutor.from_spec("process", max_workers=2) as executor:
+            assert executor.map(_square, list(range(8))) == [
                 value * value for value in range(8)
             ]
 
     def test_empty_and_single_item(self):
-        with ThreadBackend() as backend:
-            assert backend.map(_square, []) == []
-            assert backend.map(_square, [3]) == [9]
+        with DagExecutor.from_spec("thread") as executor:
+            assert executor.map(_square, []) == []
+            assert executor.map(_square, [3]) == [9]
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
-            ThreadBackend(max_workers=0)
+            PoolTransport("thread", max_workers=0)
+        with pytest.raises(ValueError, match="exec_max_workers"):
+            ExperimentProfile.fast().with_max_workers(0)
 
     def test_pool_not_sized_by_first_batch(self):
         # Regression: a small first map() must not throttle later,
         # larger batches for the lifetime of the pool.
-        with ThreadBackend(max_workers=4) as backend:
-            backend.map(_square, [1, 2])
-            assert backend._executor._max_workers == 4
-            backend.map(_square, list(range(16)))
-            assert backend._executor._max_workers == 4
+        transport = PoolTransport("thread", max_workers=4)
+        with DagExecutor(transport) as executor:
+            executor.map(_square, [1, 2])
+            assert transport._executor._max_workers == 4
+            executor.map(_square, list(range(16)))
+            assert transport._executor._max_workers == 4
 
 
 def _mark_and_sleep(payload):
@@ -82,7 +93,7 @@ class TestMapStreamCancellation:
     """A raising callback must not leak queued work into the pool.
 
     Regression for the streaming store path: when persisting cell k
-    fails mid-grid, the remaining queued cells must be cancelled and
+    fails mid-grid, the remaining queued leaves must be cancelled and
     in-flight ones drained — otherwise they keep executing (and a
     store keeps appending) behind an exception the caller already saw.
     """
@@ -94,20 +105,21 @@ class TestMapStreamCancellation:
     # cancelled).  Everything beyond that must have been cancelled —
     # with all eight executed the bug is back.
     @pytest.mark.parametrize(
-        "backend_cls,uncancellable",
-        [(ThreadBackend, 2), (ProcessBackend, 6)],
+        "kind,uncancellable",
+        [("thread", 2), ("process", 6)],
+        ids=["ThreadPool-2", "ProcessPool-6"],
     )
     def test_callback_failure_cancels_queued_items(
-        self, backend_cls, uncancellable, tmp_path
+        self, kind, uncancellable, tmp_path
     ):
         items = [(str(tmp_path), f"item{i}") for i in range(8)]
 
         def explode(index, result):
             raise RuntimeError("persist failed")
 
-        with backend_cls(max_workers=1) as backend:
+        with DagExecutor(PoolTransport(kind, max_workers=1)) as executor:
             with pytest.raises(RuntimeError, match="persist failed"):
-                backend.map_stream(_mark_and_sleep, items, callback=explode)
+                executor.map_stream(_mark_and_sleep, items, callback=explode)
         executed = sorted(p.name for p in tmp_path.iterdir())
         assert 1 <= len(executed) <= uncancellable, executed
         assert "item7" not in executed
@@ -118,43 +130,72 @@ class TestMapStreamCancellation:
 
 
 class TestResolveBackend:
+    """Transport resolution and the ambient-scope lookup."""
+
     def test_none_and_serial(self):
-        assert isinstance(resolve_backend(None), SerialBackend)
-        assert isinstance(resolve_backend("serial"), SerialBackend)
+        assert isinstance(resolve_transport("serial"), SerialTransport)
+        # No scope: inner code finds no executor and runs serially.
+        assert current_executor() is None
 
     def test_explicit_names(self):
-        assert isinstance(resolve_backend("thread"), ThreadBackend)
-        assert isinstance(resolve_backend("process"), ProcessBackend)
+        assert resolve_transport("thread").name == "thread"
+        assert resolve_transport("process").name == "process"
 
     def test_instance_passthrough(self):
-        backend = SerialBackend()
-        assert resolve_backend(backend) is backend
+        with DagExecutor(SerialTransport()) as executor:
+            with executor_scope(executor, "cell") as scoped:
+                assert scoped is executor
+                assert current_executor() is executor
+        assert current_executor() is None
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu")
-        with pytest.raises(TypeError):
-            resolve_backend(42)
+        with pytest.raises(ValueError, match="unknown transport"):
+            resolve_transport("gpu")
+        with pytest.raises(ValueError, match="unknown exec_plan"):
+            ExperimentProfile.fast().with_exec_plan("dag:gpu")
 
     def test_auto_serial_for_tiny_batches(self):
-        assert isinstance(resolve_backend("auto", task_count=1), SerialBackend)
+        # A single-restart search never reaches the executor, whatever
+        # is in scope: one leaf would only add dispatch overhead.
+        graph = mpeg2_decoder()
+        mapper = SimulatedAnnealingMapper(
+            MappingEvaluator(
+                graph, MPSoC.paper_reference(4), deadline_s=MPEG2_DEADLINE_S
+            ),
+            SEUObjective(),
+            config=AnnealingConfig(max_iterations=100, restarts=1),
+            seed=0,
+        )
+        with DagExecutor.from_spec("thread", max_workers=2) as executor:
+            with executor_scope(executor):
+                mapper.run(Mapping.round_robin(graph, 4), (1, 1, 1, 1))
+            assert executor.stats.submitted == 0
 
     def test_auto_respects_cpu_count(self):
-        resolved = resolve_backend("auto", task_count=8, payload_probe=(1, 2))
+        resolved = resolve_transport("auto", payload_probe=(1, 2))
         if (os.cpu_count() or 1) <= 1:
-            assert isinstance(resolved, SerialBackend)
+            assert isinstance(resolved, SerialTransport)
         else:
-            assert isinstance(resolved, (ThreadBackend, ProcessBackend))
+            assert isinstance(resolved, PoolTransport)
+            assert resolved.name == "process"
 
     def test_auto_goes_serial_for_unpicklable_payload(self):
         # Unpicklable work can't reach processes, and the search loops
         # are GIL-bound, so threads would be pure overhead.
         probe = lambda: None  # noqa: E731 - deliberately unpicklable
-        resolved = resolve_backend("auto", task_count=8, payload_probe=probe)
-        assert isinstance(resolved, SerialBackend)
+        resolved = resolve_transport("auto", payload_probe=probe)
+        assert isinstance(resolved, SerialTransport)
 
     def test_backend_names_constant(self):
-        assert set(BACKEND_NAMES) == {"serial", "thread", "process", "auto", "dag"}
+        assert set(TRANSPORT_NAMES) == {"serial", "thread", "process", "auto"}
+        assert set(EXEC_PLANS) == {
+            "percut",
+            "dag",
+            "dag:serial",
+            "dag:thread",
+            "dag:process",
+            "dag:auto",
+        }
 
     def test_payload_picklable(self):
         assert payload_picklable((1, "a"))
@@ -162,7 +203,7 @@ class TestResolveBackend:
 
 
 class TestParallelDesignSweep:
-    """Serial and parallel sweeps must select the identical design."""
+    """Serial and executor sweeps must select the identical design."""
 
     def _optimizer(self, **kwargs):
         return DesignOptimizer(
@@ -174,6 +215,14 @@ class TestParallelDesignSweep:
             seed=0,
             **kwargs,
         )
+
+    @staticmethod
+    def _optimize_on(optimizer, spec):
+        with DagExecutor.from_spec(spec, max_workers=2) as executor:
+            with executor_scope(executor):
+                outcome = optimizer.optimize()
+            assert executor.stats.tasks > 0  # the sweep really shipped leaves
+        return outcome
 
     def _assert_same_outcome(self, first, second):
         assert first.best is not None and second.best is not None
@@ -190,12 +239,12 @@ class TestParallelDesignSweep:
 
     def test_thread_matches_serial(self):
         serial = self._optimizer().optimize()
-        threaded = self._optimizer(backend="thread").optimize()
+        threaded = self._optimize_on(self._optimizer(), "thread")
         self._assert_same_outcome(serial, threaded)
 
     def test_process_matches_serial(self):
         serial = self._optimizer().optimize()
-        processed = self._optimizer().optimize(backend="process")
+        processed = self._optimize_on(self._optimizer(), "process")
         self._assert_same_outcome(serial, processed)
 
     def test_fixed_mapping_flow_matches_serial(self):
@@ -210,17 +259,17 @@ class TestParallelDesignSweep:
             )
 
         serial = build().optimize()
-        threaded = build().optimize(backend="thread")
+        threaded = self._optimize_on(build(), "thread")
         self._assert_same_outcome(serial, threaded)
 
     def test_auto_backend_runs(self):
-        outcome = self._optimizer(backend="auto").optimize()
+        outcome = self._optimize_on(self._optimizer(), "auto")
         assert outcome.best is not None
 
     def test_parallel_evaluations_cover_serial_work(self):
         serial = self._optimizer().optimize()
-        threaded = self._optimizer(backend="thread").optimize()
-        # A parallel sweep cannot early-exit mid-flight, so it spends
+        threaded = self._optimize_on(self._optimizer(), "thread")
+        # An executor sweep cannot early-exit mid-wave, so it spends
         # at least the serial effort.
         assert threaded.evaluations >= serial.evaluations
 
@@ -232,19 +281,33 @@ class TestParallelDesignSweep:
 
 class TestProfilePlumbing:
     def test_profile_backend_reaches_optimizer(self):
-        from repro.experiments.common import build_optimizer
+        # A dag plan reaches the optimizer through the scope run_cells
+        # opens: its sweep's leaves land on that executor.
+        from repro.experiments.common import build_optimizer, run_cells
 
-        profile = ExperimentProfile.fast().with_backend("thread")
-        optimizer = build_optimizer(
-            mpeg2_decoder(), 4, MPEG2_DEADLINE_S, profile
-        )
-        assert optimizer.backend == "thread"
+        class Cell:
+            def __init__(self, profile):
+                self.profile = profile
+
+            def run(self):
+                optimizer = build_optimizer(
+                    mpeg2_decoder(), 4, MPEG2_DEADLINE_S, self.profile
+                )
+                return current_executor(), optimizer.optimize().best
+
+        profile = ExperimentProfile.smoke().with_exec_plan("dag:thread")
+        ((executor, best),) = run_cells([Cell(profile)], profile)
+        assert isinstance(executor, DagExecutor)
+        assert executor.stats.tasks > 0
+        assert best is not None
 
     def test_with_backend_keeps_other_fields(self):
-        profile = ExperimentProfile.fast(seed=3).with_backend("auto")
-        assert profile.exec_backend == "auto"
+        profile = ExperimentProfile.fast(seed=3).with_exec_plan("dag:auto")
+        assert profile.exec_plan == "dag:auto"
         assert profile.seed == 3
         assert profile.name == "fast"
 
     def test_default_profile_is_serial(self):
-        assert ExperimentProfile.fast().exec_backend == "serial"
+        profile = ExperimentProfile.fast()
+        assert profile.exec_plan is None
+        assert not profile.uses_dag_executor()

@@ -1,18 +1,16 @@
 """Experiment-level fan-out: reports must be byte-identical to serial."""
 
 import pickle
+from dataclasses import dataclass
 
 import pytest
 
+from repro.exec import DagExecutor, current_executor, executor_scope
 from repro.experiments import ExperimentProfile, run_fig10, run_table3
-from repro.experiments.common import run_cells, worker_profile
+from repro.experiments.common import run_cells
 from repro.experiments.runner import render_report, run_all
 from repro.experiments.table3 import _Table3CellJob
 from repro.taskgraph import RandomGraphConfig, random_task_graph
-
-# This module deliberately exercises the deprecated per-cut pools —
-# they remain the legacy-parity reference paths.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 @pytest.fixture(scope="module")
@@ -33,24 +31,40 @@ def tiny_app():
     return random_task_graph(config, seed=3), config.deadline_s
 
 
+@dataclass(frozen=True)
+class _ScopeProbeCell:
+    """Reports the executor its cell body sees."""
+
+    profile: ExperimentProfile
+
+    def run(self):
+        return current_executor()
+
+
 class TestWorkerProfile:
-    def test_forces_all_cuts_serial(self):
-        profile = ExperimentProfile.fast().with_backend(
-            exec_backend="process",
-            experiment_backend="thread",
-            restart_backend="auto",
+    def test_forces_all_cuts_serial(self, tiny_profile, tiny_app):
+        # A serial profile ("percut" is its alias) runs with no executor
+        # even inside an enclosing scope (the service opens one per
+        # job), so its sweeps and restarts take the serial loops.
+        graph, deadline_s = tiny_app
+        applications = [("tiny", graph, deadline_s)]
+        reference = run_table3(
+            tiny_profile, core_counts=(2,), applications=applications
         )
-        inner = worker_profile(profile)
-        assert inner.exec_backend == "serial"
-        assert inner.experiment_backend == "serial"
-        assert inner.restart_backend == "serial"
-        # Everything that determines results is untouched.
-        assert inner.seed == profile.seed
-        assert inner.search_iterations == profile.search_iterations
-        assert inner.name == profile.name
+        for plan in (None, "percut"):
+            profile = tiny_profile.with_exec_plan(plan)
+            with DagExecutor.from_spec("thread", max_workers=2) as executor:
+                with executor_scope(executor, "job"):
+                    seen = run_cells([_ScopeProbeCell(profile)] * 2, profile)
+                    scoped = run_table3(
+                        profile, core_counts=(2,), applications=applications
+                    )
+                assert executor.stats.submitted == 0
+            assert seen == [None, None]
+            assert scoped.format_table() == reference.format_table()
 
     def test_run_cells_empty(self, tiny_profile):
-        assert run_cells([], tiny_profile, backend="thread") == []
+        assert run_cells([], tiny_profile.with_exec_plan("dag:thread")) == []
 
 
 class TestTable3FanOut:
@@ -62,10 +76,9 @@ class TestTable3FanOut:
             tiny_profile, core_counts=(2, 3), applications=applications
         )
         parallel = run_table3(
-            tiny_profile,
+            tiny_profile.with_exec_plan(f"dag:{backend}").with_max_workers(2),
             core_counts=(2, 3),
             applications=applications,
-            backend=backend,
         )
         assert serial.format_table() == parallel.format_table()
         assert serial.apps() == parallel.apps()
@@ -81,7 +94,7 @@ class TestTable3FanOut:
             tiny_profile, core_counts=(2,), applications=applications
         )
         via_profile = run_table3(
-            tiny_profile.with_backend(experiment_backend="thread"),
+            tiny_profile.with_exec_plan("dag:thread"),
             core_counts=(2,),
             applications=applications,
         )
@@ -109,11 +122,10 @@ class TestFig10FanOut:
             tiny_profile, graph=graph, deadline_s=deadline_s, core_counts=(2, 3)
         )
         threaded = run_fig10(
-            tiny_profile,
+            tiny_profile.with_exec_plan("dag:thread"),
             graph=graph,
             deadline_s=deadline_s,
             core_counts=(2, 3),
-            backend="thread",
         )
         assert serial.format_table() == threaded.format_table()
         assert serial.seu_reduction_percent() == threaded.seu_reduction_percent()
@@ -128,7 +140,10 @@ class TestRunAllFanOut:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_reports_byte_identical(self, tiny_profile, backend):
         serial = run_all(tiny_profile, ids=self.IDS)
-        parallel = run_all(tiny_profile, backend=backend, ids=self.IDS)
+        parallel = run_all(
+            tiny_profile.with_exec_plan(f"dag:{backend}").with_max_workers(2),
+            ids=self.IDS,
+        )
         assert list(serial) == list(parallel) == list(self.IDS)
         for experiment_id in self.IDS:
             assert serial[experiment_id][1] == parallel[experiment_id][1]

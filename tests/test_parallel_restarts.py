@@ -1,17 +1,25 @@
 """Restart-level parallelism: determinism contract and screening stats."""
 
+import os
 import pickle
+from dataclasses import dataclass
 
 import pytest
 
 from repro.arch import MPSoC
-from repro.exec import SerialBackend, resolve_backend
+from repro.exec import (
+    DagExecutor,
+    current_executor,
+    executor_scope,
+    resolve_transport,
+)
 from repro.mapping import Mapping, MappingEvaluator
 from repro.optim import (
     AnnealingConfig,
     DesignOptimizer,
     OptimizedMappingSearch,
     RegisterUsageObjective,
+    SEAMapper,
     SEUObjective,
     SimulatedAnnealingMapper,
     baseline_mapper,
@@ -28,7 +36,7 @@ def mpeg2():
     return mpeg2_decoder()
 
 
-def _mapper(graph, backend=None, screening=False, restarts=3, **kwargs):
+def _mapper(graph, screening=False, restarts=3, **kwargs):
     evaluator = MappingEvaluator(
         graph, MPSoC.paper_reference(4), deadline_s=MPEG2_DEADLINE_S
     )
@@ -40,9 +48,20 @@ def _mapper(graph, backend=None, screening=False, restarts=3, **kwargs):
         deadline_penalty=True,
         require_all_cores=True,
         screening=screening,
-        backend=backend,
         **kwargs,
     )
+
+
+def _on(spec, fn, *args):
+    """``fn(*args)`` with a ``spec`` executor (2 workers) in scope.
+
+    Asserts the call really shipped leaves to the executor.
+    """
+    with DagExecutor.from_spec(spec, max_workers=2) as executor:
+        with executor_scope(executor, "test"):
+            result = fn(*args)
+        assert executor.stats.tasks > 0
+    return result
 
 
 def _assert_same_point(first, second):
@@ -54,15 +73,15 @@ def _assert_same_point(first, second):
 
 
 class TestParallelRestartParity:
-    """Thread and process restart dispatch select the serial design."""
+    """Restarts run on a thread or process executor select the serial design."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_backend_matches_serial(self, mpeg2, backend):
         initial = Mapping.round_robin(mpeg2, 4)
         serial_mapper = _mapper(mpeg2)
-        parallel_mapper = _mapper(mpeg2, backend=backend)
+        parallel_mapper = _mapper(mpeg2)
         serial = serial_mapper.run(initial, SCALING)
-        parallel = parallel_mapper.run(initial, SCALING)
+        parallel = _on(backend, parallel_mapper.run, initial, SCALING)
         _assert_same_point(serial, parallel)
         assert (
             parallel_mapper.restart_evaluations == serial_mapper.restart_evaluations
@@ -71,11 +90,10 @@ class TestParallelRestartParity:
     def test_screened_stats_match_serial(self, mpeg2):
         initial = Mapping.round_robin(mpeg2, 4)
         serial_mapper = _mapper(mpeg2, screening=True, screen_threshold=0.5)
-        thread_mapper = _mapper(
-            mpeg2, backend="thread", screening=True, screen_threshold=0.5
-        )
+        thread_mapper = _mapper(mpeg2, screening=True, screen_threshold=0.5)
         _assert_same_point(
-            serial_mapper.run(initial, SCALING), thread_mapper.run(initial, SCALING)
+            serial_mapper.run(initial, SCALING),
+            _on("thread", thread_mapper.run, initial, SCALING),
         )
         assert serial_mapper.screened_moves > 0
         assert (
@@ -85,11 +103,15 @@ class TestParallelRestartParity:
         assert thread_mapper.screened_moves == serial_mapper.screened_moves
 
     def test_single_restart_stays_serial(self, mpeg2):
-        # One restart never pays dispatch overhead, whatever the spec.
+        # One restart never pays dispatch overhead, whatever is in scope.
         initial = Mapping.round_robin(mpeg2, 4)
-        mapper = _mapper(mpeg2, backend="process", restarts=1)
+        mapper = _mapper(mpeg2, restarts=1)
         serial = _mapper(mpeg2, restarts=1)
-        _assert_same_point(serial.run(initial, SCALING), mapper.run(initial, SCALING))
+        with DagExecutor.from_spec("process", max_workers=2) as executor:
+            with executor_scope(executor):
+                point = mapper.run(initial, SCALING)
+            assert executor.stats.submitted == 0
+        _assert_same_point(serial.run(initial, SCALING), point)
 
     def test_restart_jobs_are_picklable(self, mpeg2):
         mapper = _mapper(mpeg2, screening=True)
@@ -155,13 +177,8 @@ class TestScreenedMovesReset:
 
 
 class TestRestartKnobs:
-    def test_config_validates_restart_backend(self):
-        with pytest.raises(ValueError, match="restart_backend"):
-            AnnealingConfig(restart_backend="gpu")
-        assert AnnealingConfig(restart_backend="thread").restart_backend == "thread"
-
     def test_config_stays_picklable(self):
-        config = AnnealingConfig(restarts=4, restart_backend="process")
+        config = AnnealingConfig(restarts=4, max_iterations=321)
         assert pickle.loads(pickle.dumps(config)) == config
 
     def test_sea_mapper_restart_override(self, mpeg2):
@@ -182,9 +199,13 @@ class TestRestartKnobs:
         serial = sea_mapper(search_iterations=120, restarts=2)(
             evaluator, (1, 1, 1, 1), 5
         )
-        threaded = sea_mapper(
-            search_iterations=120, restarts=2, restart_backend="thread"
-        )(evaluator, (1, 1, 1, 1), 5)
+        threaded = _on(
+            "thread",
+            sea_mapper(search_iterations=120, restarts=2),
+            evaluator,
+            (1, 1, 1, 1),
+            5,
+        )
         _assert_same_point(serial, threaded)
 
     def test_baseline_mapper_restart_override(self, mpeg2):
@@ -195,12 +216,13 @@ class TestRestartKnobs:
         serial = baseline_mapper(
             RegisterUsageObjective(), config=config, restarts=2
         )(evaluator, (1, 1, 1, 1), 5)
-        threaded = baseline_mapper(
-            RegisterUsageObjective(),
-            config=config,
-            restarts=2,
-            restart_backend="thread",
-        )(evaluator, (1, 1, 1, 1), 5)
+        threaded = _on(
+            "thread",
+            baseline_mapper(RegisterUsageObjective(), config=config, restarts=2),
+            evaluator,
+            (1, 1, 1, 1),
+            5,
+        )
         _assert_same_point(serial, threaded)
         with pytest.raises(ValueError, match="restarts"):
             baseline_mapper(RegisterUsageObjective(), restarts=-1)
@@ -208,13 +230,13 @@ class TestRestartKnobs:
 
 class TestEvaluationAccounting:
     def test_parallel_restarts_fold_counts_into_evaluator(self, mpeg2):
-        # The stats contract: a backend changes wall-clock only, so the
-        # shared evaluator must report the same total either way.
+        # The stats contract: an executor changes wall-clock only, so
+        # the shared evaluator must report the same total either way.
         initial = Mapping.round_robin(mpeg2, 4)
         serial_mapper = _mapper(mpeg2)
-        thread_mapper = _mapper(mpeg2, backend="thread")
+        thread_mapper = _mapper(mpeg2)
         serial_mapper.run(initial, SCALING)
-        thread_mapper.run(initial, SCALING)
+        _on("thread", thread_mapper.run, initial, SCALING)
         assert (
             thread_mapper.evaluator.evaluations
             == serial_mapper.evaluator.evaluations
@@ -229,75 +251,90 @@ class TestEvaluationAccounting:
             )
 
 
+#: What the planless mapper saw as the ambient executor, per call.
+_SEEN_EXECUTORS = []
+
+
+@dataclass(frozen=True)
+class _PlanlessMapper:
+    """A mapper without a ``restart_plan`` hook: the DAG sweep ships
+    each of its scalings as one whole-search leaf."""
+
+    inner: SEAMapper
+
+    def __call__(self, evaluator, scaling, seed):
+        _SEEN_EXECUTORS.append(current_executor())
+        return self.inner(evaluator, scaling, seed)
+
+
 class TestNestedPoolGuard:
-    """A parallel scaling sweep must not open restart pools in workers."""
-
-    def test_serial_restart_mapper_forces_the_field(self):
-        from repro.optim.design_optimizer import _serial_restart_mapper
-
-        forced = _serial_restart_mapper(
-            sea_mapper(search_iterations=120, restarts=2, restart_backend="process")
-        )
-        assert forced.restart_backend == "serial"
-        # The backend can also ride in via the annealing config with
-        # the field itself None; the field override must still win.
-        baseline = baseline_mapper(
-            RegisterUsageObjective(),
-            config=AnnealingConfig(max_iterations=150, restart_backend="process"),
-        )
-        assert baseline.restart_backend is None
-        assert _serial_restart_mapper(baseline).restart_backend == "serial"
-        assert _serial_restart_mapper(None) is None
+    """A leaf never re-dispatches into the executor that runs it."""
 
     def test_parallel_sweep_jobs_carry_serial_restarts(self, mpeg2):
-        optimizer = DesignOptimizer(
-            mpeg2,
-            MPSoC.paper_reference(4),
-            deadline_s=MPEG2_DEADLINE_S,
-            mapper=sea_mapper(
-                search_iterations=120, restarts=2, restart_backend="thread"
-            ),
-            seed=0,
-        )
-        job = optimizer._scaling_job((1, 1, 1, 1), None, serial_restarts=True)
-        assert job.mapper.restart_backend == "serial"
-
-    def test_combined_cuts_still_match_serial(self, mpeg2):
-        def build(backend, restart_backend):
+        # dag:serial runs leaves inline on the coordinator thread, the
+        # one place a scope could leak into a leaf: the scaling leaves'
+        # two-restart searches must still run serially inside them.
+        def build():
             return DesignOptimizer(
                 mpeg2,
                 MPSoC.paper_reference(4),
                 deadline_s=MPEG2_DEADLINE_S,
-                mapper=sea_mapper(
-                    search_iterations=120,
-                    restarts=2,
-                    restart_backend=restart_backend,
-                ),
+                mapper=_PlanlessMapper(sea_mapper(search_iterations=120, restarts=2)),
                 stop_after_feasible=2,
                 seed=0,
-                backend=backend,
             )
 
-        serial = build(None, None).optimize()
-        combined = build("thread", "thread").optimize()
+        serial = build().optimize()
+        _SEEN_EXECUTORS.clear()
+        with DagExecutor.from_spec("serial") as executor:
+            with executor_scope(executor, "sweep"):
+                inline = build().optimize()
+            stats = executor.stats
+        # Every leaf is one scaling search (none is a restart), and no
+        # search saw the executor running it.
+        assert stats.tasks == len(_SEEN_EXECUTORS) >= len(serial.assessments)
+        assert set(_SEEN_EXECUTORS) == {None}
+        _assert_same_point(serial.best, inline.best)
+        assert inline.evaluations >= serial.evaluations
+
+    def test_combined_cuts_still_match_serial(self, mpeg2):
+        def build():
+            return DesignOptimizer(
+                mpeg2,
+                MPSoC.paper_reference(4),
+                deadline_s=MPEG2_DEADLINE_S,
+                mapper=sea_mapper(search_iterations=120, restarts=2),
+                stop_after_feasible=2,
+                seed=0,
+            )
+
+        serial = build().optimize()
+        combined = _on("thread", build().optimize)
         assert serial.best is not None and combined.best is not None
         _assert_same_point(serial.best, combined.best)
 
 
+class _PickleCounter:
+    """A payload probe that records every attempt to pickle it."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __reduce__(self):
+        self.calls += 1
+        return (_PickleCounter, ())
+
+
 class TestLazyProbe:
-    """Regression: probes are only built when the auto branch needs one."""
+    """Regression: work is only built or probed when it will be dispatched."""
 
     def test_probe_factory_untouched_for_explicit_specs(self):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return (1, 2)
-
-        for spec in (None, "serial", "thread", "process", SerialBackend()):
-            backend = resolve_backend(spec, task_count=8, probe_factory=factory)
-            backend.close()
-        assert calls == []
+        probe = _PickleCounter()
+        for spec in ("serial", "thread", "process"):
+            resolve_transport(spec, payload_probe=probe).close()
+        assert probe.calls == 0
+        resolve_transport("auto", payload_probe=probe).close()
+        assert probe.calls == (1 if (os.cpu_count() or 1) > 1 else 0)
 
     def test_optimizer_serial_sweep_builds_no_jobs(self, mpeg2, monkeypatch):
         optimizer = DesignOptimizer(
@@ -330,35 +367,36 @@ class TestLazyProbe:
 
 
 class TestMaxWorkersPlumbing:
-    def test_optimizer_rejects_bad_max_workers(self, mpeg2):
-        with pytest.raises(ValueError, match="max_workers"):
-            DesignOptimizer(
-                mpeg2,
-                MPSoC.paper_reference(4),
-                deadline_s=MPEG2_DEADLINE_S,
-                max_workers=0,
-            )
+    def test_optimizer_rejects_bad_max_workers(self):
+        # The cap is validated where it is set, the profile, so a bad
+        # value never reaches an optimizer or an executor.
+        from repro.experiments import ExperimentProfile
 
-    def test_optimizer_max_workers_reaches_backend(self, mpeg2, monkeypatch):
-        import repro.optim.design_optimizer as module
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="exec_max_workers"):
+                ExperimentProfile.smoke().with_max_workers(bad)
+            with pytest.raises(ValueError, match="exec_max_workers"):
+                ExperimentProfile(exec_max_workers=bad, exec_plan="dag:thread")
 
-        seen = {}
-        original = module.resolve_backend
+    def test_optimizer_max_workers_reaches_backend(self, mpeg2):
+        # The profile's worker cap sizes the executor the optimizer's
+        # leaves run on.
+        from repro.experiments import ExperimentProfile
+        from repro.experiments.common import build_optimizer, run_cells
 
-        def capturing(spec, **kwargs):
-            seen.update(kwargs)
-            return original(spec, **kwargs)
+        class Cell:
+            def __init__(self, profile):
+                self.profile = profile
 
-        monkeypatch.setattr(module, "resolve_backend", capturing)
-        optimizer = DesignOptimizer(
-            mpeg2,
-            MPSoC.paper_reference(4),
-            deadline_s=MPEG2_DEADLINE_S,
-            mapper=sea_mapper(search_iterations=120),
-            stop_after_feasible=2,
-            seed=0,
-            backend="thread",
-            max_workers=2,
-        )
-        assert optimizer.optimize().best is not None
-        assert seen["max_workers"] == 2
+            def run(self):
+                optimizer = build_optimizer(
+                    mpeg2, 4, MPEG2_DEADLINE_S, self.profile
+                )
+                return current_executor(), optimizer.optimize().best
+
+        profile = ExperimentProfile.smoke().with_exec_plan("dag:thread")
+        profile = profile.with_max_workers(2)
+        ((executor, best),) = run_cells([Cell(profile)], profile)
+        assert executor.transport.workers() == 2
+        assert executor.stats.tasks > 0
+        assert best is not None

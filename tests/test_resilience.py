@@ -25,7 +25,7 @@ from repro.exec import (
     PoolTransport,
     RetryPolicy,
     SerialTransport,
-    resolve_backend,
+    current_executor,
 )
 from repro.experiments import ExperimentProfile, run_table3
 from repro.experiments.common import run_cells
@@ -341,19 +341,18 @@ def _die_once_leaf(item):
 
 @dataclass(frozen=True)
 class _MapCell:
-    """A grid cell that fans its work out through the ambient dag backend."""
+    """A grid cell that fans its work out through the ambient executor."""
 
     profile: ExperimentProfile
     base: int
     marker: str = ""
 
     def run(self):
-        backend = resolve_backend("dag")
         items = [
             (self.base + i, self.marker if (i == 1 and self.marker) else None)
             for i in range(6)
         ]
-        return backend.map(_die_once_leaf, items)
+        return current_executor().map(_die_once_leaf, items)
 
 
 class TestWorkerDeathRecovery:

@@ -2,7 +2,7 @@
 
 The acceptance contract: a run interrupted after k of N cells and
 resumed produces **byte-identical** reports to an uninterrupted run,
-on the serial and process backends alike — and the report rendered
+on the serial and ``dag:process`` plans alike — and the report rendered
 from a fully resumed store matches the in-memory path for every
 experiment module.
 """
@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.exec.backends import SerialBackend, ThreadBackend
+from repro.exec import DagExecutor
 from repro.experiments import (
     ExperimentProfile,
     run_fig3,
@@ -77,14 +77,8 @@ class TestFingerprint:
     def test_stable_across_backend_choices(self, tiny_profile):
         """Execution fields never change results, so never the print."""
         base = tiny_profile.result_fingerprint()
-        assert (
-            tiny_profile.with_backend(
-                exec_backend="process",
-                experiment_backend="thread",
-                restart_backend="auto",
-            ).result_fingerprint()
-            == base
-        )
+        for plan in ("percut", "dag", "dag:process"):
+            assert tiny_profile.with_exec_plan(plan).result_fingerprint() == base
         assert tiny_profile.with_max_workers(2).result_fingerprint() == base
         assert tiny_profile.with_store("/tmp/x", resume=True).result_fingerprint() == base
 
@@ -298,30 +292,24 @@ class TestRunStore:
 
 
 class TestMapStream:
-    @pytest.mark.parametrize("backend_cls", [SerialBackend, ThreadBackend])
-    def test_callback_covers_every_item_and_order_is_kept(self, backend_cls):
-        backend = backend_cls()
+    @pytest.mark.parametrize("transport", ["serial", "thread"])
+    def test_callback_covers_every_item_and_order_is_kept(self, transport):
         seen = {}
-        try:
-            results = backend.map_stream(
+        with DagExecutor.from_spec(transport) as executor:
+            results = executor.map_stream(
                 lambda x: x * 10, [1, 2, 3, 4], callback=seen.__setitem__
             )
-        finally:
-            backend.close()
         assert results == [10, 20, 30, 40]
         assert seen == {0: 10, 1: 20, 2: 30, 3: 40}
 
     def test_no_callback_matches_map(self):
-        backend = SerialBackend()
-        assert backend.map_stream(str, [1, 2]) == backend.map(str, [1, 2])
+        with DagExecutor.from_spec("serial") as executor:
+            assert executor.map_stream(str, [1, 2]) == executor.map(str, [1, 2])
 
     def test_single_item_short_circuit(self):
-        backend = ThreadBackend()
         seen = {}
-        try:
-            assert backend.map_stream(str, [7], callback=seen.__setitem__) == ["7"]
-        finally:
-            backend.close()
+        with DagExecutor.from_spec("thread") as executor:
+            assert executor.map_stream(str, [7], callback=seen.__setitem__) == ["7"]
         assert seen == {0: "7"}
 
 
@@ -340,6 +328,16 @@ class _SquareJob:
 
     def run(self) -> int:
         return self.value * self.value
+
+
+@dataclass(frozen=True)
+class _ProfileProbe:
+    """Returns the profile its cell runs under."""
+
+    profile: ExperimentProfile
+
+    def run(self) -> ExperimentProfile:
+        return self.profile
 
 
 @dataclass(frozen=True)
@@ -432,6 +430,8 @@ class TestKillResumeDeterminism:
     def test_table3_resumes_byte_identical(
         self, tmp_path, tiny_profile, tiny_app, backend
     ):
+        # "serial": the serial store path; "process": the dag:process one.
+        plan = None if backend == "serial" else f"dag:{backend}"
         graph, deadline_s = tiny_app
         applications = [("tiny", graph, deadline_s)]
         core_counts = (2, 3)
@@ -443,9 +443,7 @@ class TestKillResumeDeterminism:
             tiny_profile,
         )
 
-        stored_profile = tiny_profile.with_store(str(tmp_path)).with_backend(
-            experiment_backend=backend
-        )
+        stored_profile = tiny_profile.with_store(str(tmp_path)).with_exec_plan(plan)
         run_table3(
             stored_profile, core_counts=core_counts, applications=applications
         )
@@ -457,7 +455,7 @@ class TestKillResumeDeterminism:
 
         resumed_profile = tiny_profile.with_store(
             str(tmp_path), resume=True
-        ).with_backend(experiment_backend=backend)
+        ).with_exec_plan(plan)
         resumed = run_table3(
             resumed_profile, core_counts=core_counts, applications=applications
         )
@@ -572,16 +570,15 @@ class TestProfilePlumbing:
         assert tiny_profile.store_dir is None  # original untouched
 
     def test_worker_profile_keeps_store_settings(self, tiny_profile):
-        from repro.experiments.common import worker_profile
-
-        inner = worker_profile(
-            tiny_profile.with_store("/tmp/s", resume=True).with_backend(
-                experiment_backend="process"
-            )
-        )
-        assert inner.store_dir == "/tmp/s"
-        assert inner.resume is True
-        assert inner.experiment_backend == "serial"
+        # Cells run under their own profile on every plan (nothing
+        # re-profiles them), so nested grids keep streaming and resuming.
+        stored = tiny_profile.with_store("/tmp/s", resume=True)
+        for plan in (None, "dag:thread"):
+            profile = stored.with_exec_plan(plan)
+            (seen,) = run_cells([_ProfileProbe(profile)], profile)
+            assert seen.store_dir == "/tmp/s"
+            assert seen.resume is True
+            assert seen.exec_plan == plan
 
     def test_smoke_profile(self):
         smoke = ExperimentProfile.smoke(seed=3)
