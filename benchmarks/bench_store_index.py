@@ -22,20 +22,31 @@ Gated rows (``check_regression.py`` pattern ``store_index``):
 
 ``test_bench_store_listing_walk`` is the ungated denominator: the
 directory walk the index replaces (and is rebuilt from).
+
+``test_bench_service_listing_walk`` / ``test_bench_service_listing_index``
+(ungated) are the numbers behind keeping the index at all: the same
+comparison on a service store of ``SERVICE_RUNS`` runs laid out like
+the job service writes them (``runs/<run id>/run.json`` carrying the
+submitted graph spec, plus one ``optimize`` grid directory).  The
+``run.json`` parse is what makes the walk expensive there.
 """
 
 import json
 
 import pytest
 
+from repro import api
 from repro.store import collect_entries, compact_records
-from repro.store.index import StoreIndex, grid_entry
+from repro.store.index import RUN_RECORD_NAME, StoreIndex, grid_entry
 from repro.store.run_store import FORMAT_VERSION, MANIFEST_NAME, RECORDS_NAME
 
 #: 40 runs x 30 cells = 1200 cells — the "service store after a month"
 #: scale the acceptance criterion names (>= 1k cells).
 NUM_RUNS = 40
 CELLS_PER_RUN = 30
+
+#: The service-mix benchmark workload's prefill size.
+SERVICE_RUNS = 200
 
 
 def _synthesize_store(root):
@@ -163,3 +174,78 @@ def test_bench_store_grid_entry(benchmark, store_root):
     )
     entry = benchmark(grid_entry, directory, manifest)
     assert entry.total == CELLS_PER_RUN
+
+
+def _synthesize_service_store(root):
+    """SERVICE_RUNS completed service runs, in the job service's layout."""
+    from repro.taskgraph.random_graphs import RandomGraphConfig, random_task_graph
+    from repro.taskgraph.serialize import graph_to_dict
+
+    for run in range(SERVICE_RUNS):
+        run_id = f"optimize-bench-{run:012x}"
+        grid = root / "runs" / run_id / "optimize"
+        grid.mkdir(parents=True)
+        config = RandomGraphConfig(num_tasks=4 + run % 5)
+        spec = {
+            "graph": graph_to_dict(random_task_graph(config, seed=run)),
+            "num_cores": 1,
+            "deadline_s": config.deadline_s,
+            "profile": "smoke",
+            "seed": run,
+        }
+        record = {
+            "format": 1,
+            "run_id": run_id,
+            "label": "optimize-bench",
+            "state": "complete",
+            "spec": spec,
+            "tenants": ["bench"],
+            "error": None,
+        }
+        (grid.parent / RUN_RECORD_NAME).write_text(
+            json.dumps(record, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        key = "000:OptimizeJob(num_cores=1)"
+        manifest = {
+            "format": FORMAT_VERSION,
+            "label": "optimize",
+            "fingerprint": f"{run:016x}",
+            "profile": {"name": "smoke", "seed": run},
+            "cells": [key],
+            "status": {key: "done"},
+            "completed": 1,
+            "failed": 0,
+            "total": 1,
+            "run_status": "complete",
+        }
+        (grid / MANIFEST_NAME).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        (grid / RECORDS_NAME).write_text(
+            json.dumps({"key": key, "status": "ok", "payload": ""}) + "\n",
+            encoding="utf-8",
+        )
+    return root
+
+
+@pytest.fixture(scope="module")
+def service_root(tmp_path_factory):
+    return _synthesize_service_store(tmp_path_factory.mktemp("bench_service"))
+
+
+def test_bench_service_listing_walk(benchmark, service_root):
+    """The directory walk over a service store (every run.json parsed)."""
+    entries = benchmark(collect_entries, service_root)
+    assert len(entries) == SERVICE_RUNS
+
+
+def test_bench_service_listing_index(benchmark, service_root):
+    """The same service store listed the way every listing is answered."""
+    statuses = benchmark(api.list_runs, service_root)
+    assert len(statuses) == SERVICE_RUNS
+    assert [status.to_dict() for status in statuses] == [
+        api._status_from_entry(entry).to_dict()
+        for entry in collect_entries(service_root)
+    ]

@@ -7,8 +7,10 @@ facade instead of calling :mod:`repro.experiments.runner` internals:
 - :func:`submit_run` — run (or dedup-serve) a validated
   :class:`RunSpec` against a service store, durably, with exact
   resume of partial grids.
-- :func:`run_status` / :func:`list_runs` — structured status objects
-  assembled from the run record and the streaming store manifests.
+- :func:`run_status` / :func:`list_runs` — structured status objects:
+  a service run's from its run record and streaming store manifests,
+  every listing (and a bare grid's status) from the store's SQLite
+  index (:mod:`repro.store.index`), rebuilt from the walk when missing.
 - :func:`fetch_report` — the rendered report, byte-identical to the
   same profile run through :func:`~repro.experiments.runner.run_experiment`
   directly (the CLI prints exactly these bytes).
@@ -38,6 +40,10 @@ On-disk layout (under a service store root)::
         run.json       # spec payload + state + tenant labels (atomic)
         report.txt     # the rendered report (exact CLI stdout bytes)
         <label>/       # the experiment's own streaming RunStore grid
+
+Every ``run.json`` write also upserts the run's row in the store
+root's index when one exists; an index failure raises (the record is
+already on disk) instead of leaving listings silently stale.
 """
 
 from __future__ import annotations
@@ -57,16 +63,14 @@ from repro.experiments.common import (
     run_cells,
 )
 from repro.experiments.runner import experiment_ids, run_experiment
-from repro.store import fingerprint_payload, iter_manifests
+from repro.store import fingerprint_payload
 from repro.store.index import (
     RUN_RECORD_NAME,
     RUNS_DIRNAME,
     RunEntry,
     StoreIndex,
-    StoreIndexError,
-    collect_entries,
     iter_service_run_dirs,
-    resolve_run_directory,
+    read_run_record,
     service_run_entry,
 )
 
@@ -148,6 +152,13 @@ class RunConflictError(ApiError):
 
     code = "run-conflict"
     http_status = 409
+
+
+class StoreError(ApiError):
+    """The store cannot answer: its index failed or its layout is retired."""
+
+    code = "store-error"
+    http_status = 500
 
 
 # ---------------------------------------------------------------------------
@@ -513,49 +524,11 @@ class RunOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _run_directory(
-    store_root: Union[str, Path], run_id: str, create: bool = False
-) -> Path:
-    """The run's directory, across the flat and sharded ``runs/`` layouts.
-
-    An existing run is found wherever it lives; fresh runs land in the
-    layout :func:`repro.store.index.sharding_enabled` selects for this
-    store (``create`` additionally materializes the shard bucket).
-    """
+def _run_directory(store_root: Union[str, Path], run_id: str) -> Path:
+    """The run's directory: ``<store_root>/runs/<run id>``."""
     if not run_id or "/" in run_id or run_id.startswith("."):
         raise UnknownRunError(f"malformed run id {run_id!r}")
-    return resolve_run_directory(store_root, run_id, create=create)
-
-
-def _read_run_record(run_dir: Path) -> Optional[Dict[str, Any]]:
-    try:
-        record = json.loads(
-            (run_dir / RUN_RECORD_NAME).read_text(encoding="utf-8")
-        )
-    except (OSError, ValueError):
-        return None
-    return record if isinstance(record, dict) else None
-
-
-def _index_touch_run(run_dir: Path) -> None:
-    """Refresh one service run's row in the store-root sidecar index.
-
-    Best-effort by the cache contract (see :mod:`repro.store.index`):
-    a failure or a missing sidecar degrades to "the next listing
-    rebuilds", never to a failed state transition.  No sidecar is ever
-    *created* here — :meth:`StoreIndex.attach` refuses to create one
-    inside a run directory, and a store whose root index does not
-    exist yet simply stays walk-served.
-    """
-    try:
-        index = StoreIndex.attach(run_dir)
-        if index is None:
-            return
-        entry = service_run_entry(run_dir)
-        if entry is not None:
-            index.update_entry(entry)
-    except Exception:
-        pass
+    return Path(store_root) / RUNS_DIRNAME / run_id
 
 
 def _write_run_record(run_dir: Path, record: Mapping[str, Any]) -> None:
@@ -565,7 +538,11 @@ def _write_run_record(run_dir: Path, record: Mapping[str, Any]) -> None:
     temporary = run_dir / (RUN_RECORD_NAME + ".tmp")
     temporary.write_text(document + "\n", encoding="utf-8")
     os.replace(temporary, run_dir / RUN_RECORD_NAME)
-    _index_touch_run(run_dir)
+    # A store nobody has listed yet has no index: the first listing
+    # builds it from the walk, which sees this record.
+    index = StoreIndex.attach(run_dir)
+    if index is not None:
+        index.update_entry(service_run_entry(run_dir, record))
 
 
 def _owner_document() -> Dict[str, Any]:
@@ -628,7 +605,7 @@ def _record_orphaned(run_dir: Path, record: Mapping[str, Any]) -> bool:
 
 
 def _set_state(run_dir: Path, state: str, error: Optional[str] = None) -> None:
-    record = _read_run_record(run_dir)
+    record = read_run_record(run_dir)
     if record is None:
         raise UnknownRunError(f"no run record under {run_dir}")
     record["state"] = state
@@ -806,9 +783,9 @@ def submit_run(
     """
     spec = RunSpec.coerce(spec)
     run_id = spec.run_id()
-    run_dir = _run_directory(store_root, run_id, create=True)
+    run_dir = _run_directory(store_root, run_id)
     run_dir.mkdir(parents=True, exist_ok=True)
-    existing = _read_run_record(run_dir)
+    existing = read_run_record(run_dir)
     record = existing or {
         "format": 1,
         "run_id": run_id,
@@ -878,7 +855,7 @@ def run_submitted(
     ``failed`` and re-raise for the caller.
     """
     run_dir = _run_directory(store_root, run_id)
-    record = _read_run_record(run_dir)
+    record = read_run_record(run_dir)
     if record is None:
         raise UnknownRunError(f"no run {run_id!r} under {store_root}")
     if _cancel_requested(run_dir):
@@ -918,7 +895,7 @@ def reattach_pending(store_root: Union[str, Path]) -> List[str]:
     runs_dir = Path(store_root) / RUNS_DIRNAME
     adopted: List[str] = []
     for run_dir in iter_service_run_dirs(runs_dir):
-        record = _read_run_record(run_dir)
+        record = read_run_record(run_dir)
         if record is None:
             continue
         state = str(record.get("state", ""))
@@ -939,95 +916,27 @@ def reattach_pending(store_root: Union[str, Path]) -> List[str]:
     return adopted
 
 
-def _status_from_manifests(
-    run_id: str,
-    label: str,
-    state: str,
-    directory: Path,
-    manifests: Sequence[Tuple[Path, Mapping[str, Any]]],
-    tenants: Sequence[str] = (),
-    error: Optional[str] = None,
+def _status_from_entry(
+    entry: RunEntry, record: Optional[Mapping[str, Any]] = None
 ) -> RunStatus:
-    total = completed = failed = 0
-    fingerprint: Optional[str] = None
-    profile: Mapping[str, Any] = {}
-    executor: Optional[Mapping[str, Any]] = None
-    cells: List[str] = []
-    cell_status: Dict[str, str] = {}
-    for _, manifest in manifests:
-        total += int(manifest.get("total", 0))
-        completed += int(manifest.get("completed", 0))
-        failed += int(manifest.get("failed", 0))
-        fingerprint = fingerprint or manifest.get("fingerprint")
-        profile = profile or manifest.get("profile", {})
-        executor = executor or manifest.get("executor")
-        cells.extend(manifest.get("cells", []))
-        cell_status.update(manifest.get("status", {}))
-    return RunStatus(
-        run_id=run_id,
-        label=label,
-        state=state,
-        directory=str(directory),
-        total=total,
-        completed=completed,
-        failed=failed,
-        fingerprint=fingerprint,
-        profile=dict(profile),
-        tenants=tuple(tenants),
-        executor=dict(executor) if executor else None,
-        error=error,
-        cells=tuple(cells),
-        cell_status=cell_status,
-    )
+    """The :class:`RunStatus` of one index or walk entry.
 
-
-def _service_run_status(run_dir: Path, record: Mapping[str, Any]) -> RunStatus:
-    state = str(record.get("state", "queued"))
-    if state == "running" and _record_orphaned(run_dir, record):
-        # The record says running but its owning process is gone: the
-        # run will never progress until a supervisor re-attaches it.
-        # Reporting ``running`` forever would be a lie.
-        state = INTERRUPTED_STATE
-    return _status_from_manifests(
-        run_id=str(record.get("run_id", run_dir.name)),
-        label=str(record.get("label", run_dir.name)),
-        state=state,
-        directory=run_dir,
-        manifests=list(iter_manifests(run_dir)),
-        tenants=[str(t) for t in record.get("tenants", [])],
-        error=record.get("error"),
-    )
-
-
-def _orphan_adjust(status: RunStatus) -> RunStatus:
-    """Re-derive ``interrupted`` for an index/walk-served status.
-
-    The sidecar index caches on-disk state; whether the owning process
-    is still alive is a live property it cannot know, so listings
-    re-probe their ``running`` entries here (there are few of those).
+    Whether a ``running`` run's owning process is still alive is a
+    live property no stored row can carry, so it is probed here (from
+    ``record``, or a fresh read of ``run.json``): a record still
+    marked running whose owner is gone will never progress until a
+    supervisor re-attaches it, and reads as ``interrupted``.
     """
-    if status.state != "running":
-        return status
-    run_dir = Path(status.directory)
-    record = _read_run_record(run_dir)
-    if record is None or not _record_orphaned(run_dir, record):
-        return status
-    return replace(status, state=INTERRUPTED_STATE)
-
-
-def _status_from_entry(entry: RunEntry) -> RunStatus:
-    """The :class:`RunStatus` of one index/walk entry.
-
-    :func:`repro.store.index.collect_entries` and
-    :meth:`~repro.store.index.StoreIndex.entries` produce the same
-    entries field for field, so a listing served from the sidecar is
-    byte-identical to the directory walk it caches — the CI
-    ``e2e-store`` index leg diffs exactly this.
-    """
+    state = entry.state
+    if state == "running":
+        if record is None:
+            record = read_run_record(entry.directory)
+        if record is not None and _record_orphaned(entry.directory, record):
+            state = INTERRUPTED_STATE
     return RunStatus(
         run_id=entry.run_id,
         label=entry.label,
-        state=entry.state,
+        state=state,
         directory=str(entry.directory),
         total=entry.total,
         completed=entry.completed,
@@ -1045,110 +954,53 @@ def _status_from_entry(entry: RunEntry) -> RunStatus:
 def run_status(store_root: Union[str, Path], run_id: str) -> RunStatus:
     """The status of one run (service runs and bare grid stores alike).
 
-    Progress comes straight from the streaming store manifests the
-    executor rewrites as cells complete — polling a run mid-execution
-    is the intended use, and the store readers tolerate a writer
-    mid-append.  Bare grid stores are probed through the sidecar index
-    first (an O(1) lookup instead of a walk); an index miss or failure
-    falls back to the manifest walk, so the index never gates
-    correctness.
+    A service run's progress comes straight from the streaming store
+    manifests the executor rewrites as cells complete — polling a run
+    mid-execution is the intended use, and the store readers tolerate
+    a writer mid-append.  Any other id is looked up among the bare
+    grids (the CLI's ``--store-dir`` layout) in the store's index, by
+    label or directory name.
     """
     root = Path(store_root)
     run_dir = _run_directory(root, run_id)
-    record = _read_run_record(run_dir)
+    record = read_run_record(run_dir)
     if record is not None:
-        return _service_run_status(run_dir, record)
-    # Bare grid stores (the CLI's --store-dir layout): index probe
-    # first, then match manifests by run label or directory name.
-    entry = StoreIndex.at(root).lookup_run(run_id)
-    if entry is not None and entry.kind == "grid":
-        return _status_from_entry(entry)
-    for directory, manifest in iter_manifests(root):
-        if directory == root / RUNS_DIRNAME or root / RUNS_DIRNAME in directory.parents:
-            continue
-        if manifest.get("label") == run_id or directory.name == run_id:
-            return _status_from_manifests(
-                run_id=directory.name,
-                label=str(manifest.get("label", directory.name)),
-                state=str(manifest.get("run_status", "?")),
-                directory=directory,
-                manifests=[(directory, manifest)],
-            )
-    raise UnknownRunError(f"no run {run_id!r} under {root}")
-
-
-#: Memoized listings keyed by (store root, tenant): the service polls
-#: ``list_runs`` on every HTTP request, and between store writes the
-#: answer cannot change.  Invalidation is the index's mtime (including
-#: its WAL file — a WAL write does not touch the main database file),
-#: so a memo entry lives exactly as long as the sidecar is untouched.
-_LISTING_CACHE: Dict[Tuple[str, Optional[str]], Tuple[int, List[RunStatus]]] = {}
+        return _status_from_entry(service_run_entry(run_dir, record), record)
+    entry = StoreIndex.ensure(root).lookup_run(run_id)
+    if entry is None:
+        raise UnknownRunError(f"no run {run_id!r} under {root}")
+    return _status_from_entry(entry)
 
 
 def list_runs(
-    store_root: Union[str, Path],
-    tenant: Optional[str] = None,
-    use_index: bool = True,
+    store_root: Union[str, Path], tenant: Optional[str] = None
 ) -> List[RunStatus]:
     """Every run under a store root, service records and bare grids both.
 
-    Service-managed runs (under ``runs/``, flat or sharded) are listed
-    from their run records; bare grid directories (what ``repro-seu
-    experiment --store-dir`` writes) are synthesized from their
-    manifests so one listing — and one ``runs --json`` shape — covers
-    both layouts.  ``tenant`` filters to runs carrying that label.
-
-    The listing is served from the SQLite sidecar index when one is
-    fresh (no ``records.jsonl`` scan, no directory walk — the hot path
-    at service scale), memoized per (root, tenant) against the index
-    mtime.  A missing or unreadable sidecar falls back to the
-    directory walk and rebuilds the index from the walked entries, so
-    deleting ``index.sqlite`` costs one listing, never an answer;
-    ``use_index=False`` forces the walk (and skips the rebuild) — the
-    CI e2e leg byte-diffs the two paths.
+    Service-managed runs (under ``runs/``) come first, sorted by run
+    id, then the bare grid directories ``repro-seu experiment
+    --store-dir`` writes, so one listing — and one ``runs --json``
+    shape — covers both layouts.  ``tenant`` filters to runs carrying
+    that label.  The answer always comes from the store's SQLite
+    index, which is first rebuilt from the directory walk when it is
+    missing or from another schema version; every index or layout
+    failure raises :class:`~repro.store.index.StoreIndexError`.
     """
-    root = Path(store_root)
-    if use_index:
-        index = StoreIndex.at(root)
-        stamp = index.mtime_ns()
-        key = (str(root), tenant)
-        memo = _LISTING_CACHE.get(key)
-        if memo is not None and stamp is not None and memo[0] == stamp:
-            # Orphan-ness is a live-process property the cached listing
-            # cannot carry: re-derive it on the way out, every time.
-            return [_orphan_adjust(status) for status in memo[1]]
-        try:
-            statuses = [_status_from_entry(e) for e in index.entries(tenant)]
-        except StoreIndexError:
-            pass
-        else:
-            if stamp is not None:
-                _LISTING_CACHE[key] = (stamp, statuses)
-            return [_orphan_adjust(status) for status in statuses]
-    entries = collect_entries(root)
-    if use_index:
-        try:
-            StoreIndex.ensure(root).replace_all(entries)
-        except Exception:
-            pass  # cache rebuild is best-effort; the walk already answered
-    if tenant is not None:
-        entries = [entry for entry in entries if tenant in entry.tenants]
-    return [_orphan_adjust(_status_from_entry(entry)) for entry in entries]
+    entries = StoreIndex.ensure(store_root).entries(tenant)
+    return [_status_from_entry(entry) for entry in entries]
 
 
 def rebuild_index(store_root: Union[str, Path]) -> int:
-    """Rebuild the store's sidecar index from the on-disk truth.
+    """Rebuild the store's index from the on-disk truth.
 
     Walks every run record and manifest under the root and replaces
-    the whole ``index.sqlite`` atomically (the index is a pure cache —
-    this is always safe, whatever state the sidecar was in).  Returns
-    the number of indexed runs.
+    every row of ``index.sqlite`` atomically (the records are the only
+    authority — this is always safe, whatever rows the index held).
+    A file that is not an SQLite database at all raises
+    :class:`~repro.store.index.StoreIndexError`; delete it to rebuild.
+    Returns the number of indexed runs.
     """
-    root = Path(store_root)
-    entries = collect_entries(root)
-    StoreIndex.ensure(root).replace_all(entries)
-    _LISTING_CACHE.clear()
-    return len(entries)
+    return StoreIndex.at(store_root).rebuild()
 
 
 def fetch_report(store_root: Union[str, Path], run_id: str) -> str:
@@ -1159,7 +1011,7 @@ def fetch_report(store_root: Union[str, Path], run_id: str) -> str:
     callers poll :func:`run_status` first.
     """
     run_dir = _run_directory(store_root, run_id)
-    record = _read_run_record(run_dir)
+    record = read_run_record(run_dir)
     if record is None:
         raise UnknownRunError(f"no run {run_id!r} under {store_root}")
     state = str(record.get("state", "queued"))
@@ -1182,7 +1034,7 @@ def cancel_run(store_root: Union[str, Path], run_id: str) -> RunStatus:
     shared work other tenants rely on.
     """
     run_dir = _run_directory(store_root, run_id)
-    record = _read_run_record(run_dir)
+    record = read_run_record(run_dir)
     if record is None:
         raise UnknownRunError(f"no run {run_id!r} under {store_root}")
     state = str(record.get("state", "queued"))
@@ -1220,6 +1072,7 @@ __all__ = [
     "RunSpec",
     "RunStatus",
     "RunSubmission",
+    "StoreError",
     "UnknownRunError",
     "ValidationError",
     "cancel_run",

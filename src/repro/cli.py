@@ -283,6 +283,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro import api
+    from repro.store import StoreIndexError
 
     root = Path(args.store_dir)
     if not root.exists():
@@ -299,10 +300,14 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             f"dropped {dropped} superseded line(s)",
             file=sys.stderr,
         )
-    if args.rebuild_index:
-        count = api.rebuild_index(root)
-        print(f"rebuilt index: {count} run(s)", file=sys.stderr)
-    statuses = api.list_runs(root, tenant=args.tenant, use_index=not args.no_index)
+    try:
+        if args.rebuild_index:
+            count = api.rebuild_index(root)
+            print(f"rebuilt index: {count} run(s)", file=sys.stderr)
+        statuses = api.list_runs(root, tenant=args.tenant)
+    except StoreIndexError as exc:
+        print(f"cannot list {root}: {exc}", file=sys.stderr)
+        return 1
     if args.run is not None:
         statuses = [
             status
@@ -420,18 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="only runs carrying this tenant label (service stores)",
     )
     runs.add_argument(
-        "--no-index",
-        action="store_true",
-        help=(
-            "bypass the SQLite sidecar index and walk records/manifests "
-            "directly (the index is a pure cache; listings are identical)"
-        ),
-    )
-    runs.add_argument(
         "--rebuild-index",
         action="store_true",
         help=(
-            "rebuild the sidecar index from records + manifests before "
+            "rebuild the SQLite index from records + manifests before "
             "listing (safe any time: records are the only authority)"
         ),
     )

@@ -14,8 +14,8 @@ Routes (all JSON unless noted)::
 Errors are structured:
 ``{"error": {"code", "message", "retryable", "field"?}}`` with the
 status code carried by the :class:`~repro.api.ApiError` subclass (400
-validation, 404 unknown run, 409 conflict, 503 queue full) — the same
-objects every other facade consumer sees.  Retryable errors that know
+validation, 404 unknown run, 409 conflict, 500 store error, 503 queue
+full) — the same objects every other facade consumer sees.  Retryable errors that know
 their backoff (503 queue-full) additionally send a ``Retry-After``
 header, which :class:`~repro.service.client.ServiceClient` honors.
 """
@@ -29,6 +29,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import api
 from repro.service.jobs import JobManager, ServiceConfig
+from repro.store import StoreIndexError
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024  # generous: serialized task graphs
 
@@ -104,15 +105,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _handle(self, method) -> None:
         """Run one route handler; map every failure to a structured body.
 
-        :class:`~repro.api.ApiError` carries its own status; anything
-        else is a server bug surfaced as a retryable 500 (the request
-        may succeed on a healthy worker / after a restart) instead of a
-        hung or half-written response.
+        :class:`~repro.api.ApiError` carries its own status; a store
+        whose index cannot answer is a non-retryable 500 naming why
+        (:class:`~repro.api.StoreError`); anything else is a server
+        bug surfaced as a retryable 500 (the request may succeed on a
+        healthy worker / after a restart) instead of a hung or
+        half-written response.
         """
         try:
             method()
         except api.ApiError as error:
             self._send_error(error)
+        except StoreIndexError as exc:
+            self._send_error(api.StoreError(str(exc)))
         except Exception as exc:  # pragma: no cover - defensive backstop
             error = api.ApiError(f"internal error: {type(exc).__name__}")
             error.code = "internal-error"

@@ -115,31 +115,21 @@ class JobManager:
                 return self
             if self._closed:
                 raise RuntimeError("JobManager is closed")
-            try:
-                # One walk at startup heals whatever state the sidecar
-                # index was left in (crash mid-write, deleted, stale);
-                # from here on every record/manifest write refreshes it
-                # incrementally and the polling endpoints answer from
-                # it without re-walking runs/.  Best-effort: the index
-                # is a cache, a failure just leaves listings walk-served.
-                api.rebuild_index(self.store_root)
-            except Exception:
-                pass
-            self._executor = DagExecutor.from_spec(self.config.transport)
+            # One walk at startup heals whatever state the index was
+            # left in (crash mid-write, deleted, stale); from here on
+            # every record/manifest write refreshes it incrementally
+            # and the polling endpoints answer from it without
+            # re-walking runs/.  A store the index cannot be built for
+            # (unwritable, retired sharded layout) refuses to start.
+            api.rebuild_index(self.store_root)
             adopted: List[str] = []
             if self.config.resume_orphans:
                 # Supervisor re-attach: claim runs a dead server left
                 # queued/running and re-dispatch them.  Fingerprint-keyed
                 # resume makes this cheap — completed cells are read
                 # back, only missing ones execute.
-                try:
-                    adopted = api.reattach_pending(self.store_root)
-                except Exception as exc:  # pragma: no cover - defensive
-                    print(
-                        f"[service] orphan re-attach failed: "
-                        f"{type(exc).__name__}: {exc}",
-                        file=sys.stderr,
-                    )
+                adopted = api.reattach_pending(self.store_root)
+            self._executor = DagExecutor.from_spec(self.config.transport)
             for run_id in adopted:
                 try:
                     self._queue.put_nowait(run_id)

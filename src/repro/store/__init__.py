@@ -2,7 +2,7 @@
 
 See :mod:`repro.store.run_store` for the on-disk formats and the
 resume determinism contract, :mod:`repro.store.index` for the SQLite
-sidecar index (pure cache, rebuildable from records + manifests),
+index (every listing's answer, rebuildable from records + manifests),
 :mod:`repro.store.checkpoint` for intra-cell per-scaling checkpoints,
 and ARCHITECTURE.md §store for the design discussion.
 """
@@ -20,7 +20,6 @@ from repro.store.index import (
     INDEX_NAME,
     RUN_RECORD_NAME,
     RUNS_DIRNAME,
-    SHARD_MARKER,
     CompactionResult,
     RunEntry,
     StoreIndex,
@@ -28,9 +27,6 @@ from repro.store.index import (
     collect_entries,
     compact_records,
     compact_store,
-    resolve_run_directory,
-    shard_of,
-    sharding_enabled,
 )
 from repro.store.run_store import (
     FORMAT_VERSION,
@@ -55,7 +51,6 @@ __all__ = [
     "RECORDS_NAME",
     "RUNS_DIRNAME",
     "RUN_RECORD_NAME",
-    "SHARD_MARKER",
     "CellCheckpoint",
     "CellRecord",
     "CompactionResult",
@@ -77,8 +72,5 @@ __all__ = [
     "fingerprint_payload",
     "iter_manifests",
     "read_manifest",
-    "resolve_run_directory",
     "scan_records",
-    "shard_of",
-    "sharding_enabled",
 ]

@@ -1,29 +1,37 @@
-"""Queryable SQLite sidecar index over a run-store root.
+"""The SQLite index every run listing of a store root is answered from.
 
 The run store's source of truth is per-run ``records.jsonl`` +
-``manifest.json`` files; listing them means walking directories and
-parsing every manifest — fine for a handful of runs, hopeless for a
-service store holding millions of cells.  :class:`StoreIndex` is a
-**pure cache** over that truth: one ``index.sqlite`` (WAL mode) at the
-store root holding a row per run (fingerprint, label, state,
-completion counters, profile summary, timestamps) and a row per cell
-(key + status, in listing order), so "list my runs / find the cached
-result for this graph" is an index lookup instead of a walk.
+``manifest.json`` files (plus ``run.json`` for service runs); listing
+them means walking directories and parsing every one of them — on a
+service store, every ``run.json`` carries the submitted graph spec.
+:class:`StoreIndex` keeps one ``index.sqlite`` (WAL mode) at the store
+root holding a row per run (fingerprint, label, state, completion
+counters, profile summary, timestamps) and a row per cell (key +
+status, in listing order), so "list my runs" is one query instead of
+a walk.
 
-Authority-vs-cache contract
----------------------------
+Authority and listing contract
+------------------------------
 The index is **never** an authority.  Every row is derived from
 ``records.jsonl``/``manifest.json``/``run.json`` and can be rebuilt
-from them at any time (:meth:`StoreIndex.replace_all` over
+from them at any time (:meth:`StoreIndex.rebuild` over
 :func:`collect_entries`); deleting ``index.sqlite`` loses nothing.
-Writers keep it fresh incrementally — :class:`~repro.store.run_store.
-RunStore` upserts its run row on every cell append, the service
-facade upserts on every run-state transition — and every index write
-is best-effort: an index failure degrades to a rebuild-on-next-read,
-never to a failed run.  Readers that cannot trust the cache (or find
-it missing) fall back to :func:`collect_entries`, the same walk the
-index is built from, so an index-served listing and a walk-served
-listing are byte-identical by construction.
+It is, however, the **only** listing path: every run listing and
+bare-grid lookup is answered from it, through
+:meth:`StoreIndex.ensure`, which first rebuilds an index that is
+missing or from another schema version.  The walk exists to build the
+index (and as the test oracle), so an index-served listing equals the
+walk by construction.
+
+Writers keep the index fresh incrementally — :class:`~repro.store.
+run_store.RunStore` upserts its run row on every cell append, the
+service facade upserts on every run-state transition — and an index
+write that fails raises :class:`StoreIndexError` to the writer; no
+write is best-effort.  A rebuild walks the store while holding the
+index's write lock, so a writer's upsert lands either before the walk
+(which then re-reads the same manifests) or after it (overwriting
+the walked row with fresher state); a writer that found no index wrote
+its manifest before the rebuild's walk began.
 
 Compaction
 ----------
@@ -37,19 +45,17 @@ so a concurrent reader sees either the old file or the new one,
 never a torn view.  Compact only quiescent stores: a live writer's
 append between the read and the replace would be dropped.
 
-Sharded run directories
------------------------
-Service stores put every run under ``<root>/runs/<run id>``; at
-millions of runs one flat directory strains the filesystem.  With
-sharding enabled (the ``REPRO_STORE_SHARD`` environment variable, or
-a ``.sharded`` marker inside ``runs/``), new runs land under
-``runs/<hh>/<run id>`` where ``hh`` is the first two hex digits of
-the run id's sha256.  Readers always accept both layouts.
+Layout
+------
+Service runs live under ``<root>/runs/<run id>``; bare grids anywhere
+else under the root (``<root>/<label>``, as ``--store-dir`` writes
+them).  Stores written with the retired sharded layout
+(``runs/<hh>/<run id>``, ``runs/.sharded``) are refused with an error
+naming the move, never listed with those runs missing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sqlite3
@@ -77,10 +83,9 @@ from repro.store.run_store import (
 INDEX_NAME = "index.sqlite"
 RUN_RECORD_NAME = "run.json"
 RUNS_DIRNAME = "runs"
-SHARD_MARKER = ".sharded"
 
-#: Bump when the schema changes; a mismatched index is dropped and
-#: rebuilt (it is a cache — staleness is never an error).
+#: Bump when the schema changes; a mismatched index is rebuilt from
+#: the walk by the next :meth:`StoreIndex.ensure`.
 INDEX_SCHEMA_VERSION = 1
 
 #: Ancestor levels walked when attaching a grid directory to the store
@@ -123,7 +128,7 @@ CREATE INDEX IF NOT EXISTS cells_by_key ON cells (directory, key);
 
 
 class StoreIndexError(RuntimeError):
-    """The sidecar could not be read or written (callers degrade)."""
+    """The index could not be read or written, or the layout is retired."""
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +143,8 @@ class RunEntry:
     :func:`collect_entries` builds these from a directory walk;
     :meth:`StoreIndex.entries` round-trips them through SQLite.  The
     two must agree field for field — that equivalence is what makes
-    an index-served listing byte-identical to a walk-served one, and
-    the CI ``e2e-store`` index leg diffs exactly that.
+    an incrementally maintained listing byte-identical to a freshly
+    rebuilt one, and the CI ``e2e-store`` index leg diffs exactly that.
     """
 
     kind: str  # "service" | "grid"
@@ -239,43 +244,42 @@ def grid_entry(directory: Path, manifest: Mapping[str, Any]) -> RunEntry:
     )
 
 
-def iter_service_run_dirs(runs_dir: Path) -> Iterator[Path]:
-    """Service run directories under ``runs/``, sorted by run id.
+def _retired_layout(path: Path) -> StoreIndexError:
+    return StoreIndexError(
+        f"{path}: sharded run directories (runs/<hh>/<run id>) are no "
+        "longer supported; move every run to runs/<run id> and delete "
+        "runs/.sharded"
+    )
 
-    Accepts the flat layout (``runs/<run id>``) and the sharded one
-    (``runs/<hh>/<run id>``): a child without a ``run.json`` is
-    treated as a shard directory and descended one level.  Sorting is
-    global by run id, so flat and sharded stores holding the same
-    runs list them in the same order.
+
+def _check_flat_layout(runs_dir: Path) -> None:
+    """Refuse a ``runs/`` directory that still carries the shard marker."""
+    marker = runs_dir / ".sharded"
+    if marker.exists():
+        raise _retired_layout(marker)
+
+
+def iter_service_run_dirs(runs_dir: Path) -> Iterator[Path]:
+    """Service run directories (``runs/<run id>``), sorted by run id.
+
+    A child without a ``run.json`` is skipped (a run being created)
+    unless it holds run directories itself — the retired sharded
+    layout, which raises :class:`StoreIndexError` rather than leaving
+    those runs out.
     """
+    _check_flat_layout(runs_dir)
     try:
-        children = list(runs_dir.iterdir())
+        children = sorted(runs_dir.iterdir())
     except OSError:
         return
-    run_dirs: List[Path] = []
     for child in children:
-        try:
-            if not child.is_dir():
-                continue
-        except OSError:
-            continue
         if (child / RUN_RECORD_NAME).exists():
-            run_dirs.append(child)
-            continue
-        try:
-            grandchildren = list(child.iterdir())
-        except OSError:
-            continue
-        for grandchild in grandchildren:
-            try:
-                if grandchild.is_dir() and (
-                    grandchild / RUN_RECORD_NAME
-                ).exists():
-                    run_dirs.append(grandchild)
-            except OSError:
-                continue
-    run_dirs.sort(key=lambda path: path.name)
-    yield from run_dirs
+            yield child
+        elif child.is_dir() and any(
+            (grandchild / RUN_RECORD_NAME).exists()
+            for grandchild in child.iterdir()
+        ):
+            raise _retired_layout(child)
 
 
 def collect_entries(store_root: Union[str, Path]) -> List[RunEntry]:
@@ -283,77 +287,21 @@ def collect_entries(store_root: Union[str, Path]) -> List[RunEntry]:
 
     Service-managed runs first (sorted by run id), then bare grid
     directories in manifest-walk order — exactly the listing shape
-    ``repro.api.list_runs`` has always produced, and exactly what
-    :meth:`StoreIndex.replace_all` persists.
+    ``repro.api.list_runs`` answers with, and exactly what
+    :meth:`StoreIndex.rebuild` persists.  The grid pass never descends
+    into ``runs/``: the grids of service runs are folded into their
+    run's entry, not listed on their own.
     """
     root = Path(store_root)
-    entries: List[RunEntry] = []
     runs_dir = root / RUNS_DIRNAME
-    if runs_dir.is_dir():
-        for run_dir in iter_service_run_dirs(runs_dir):
-            entry = service_run_entry(run_dir)
-            if entry is not None:
-                entries.append(entry)
-    for directory, manifest in iter_manifests(root):
-        if directory == runs_dir or runs_dir in directory.parents:
-            continue
+    entries: List[RunEntry] = []
+    for run_dir in iter_service_run_dirs(runs_dir):
+        entry = service_run_entry(run_dir)
+        if entry is not None:
+            entries.append(entry)
+    for directory, manifest in iter_manifests(root, skip=runs_dir):
         entries.append(grid_entry(directory, manifest))
     return entries
-
-
-# ---------------------------------------------------------------------------
-# Sharded run directories.
-# ---------------------------------------------------------------------------
-
-
-def shard_of(run_id: str) -> str:
-    """The two-hex-digit shard bucket of one run id."""
-    return hashlib.sha256(run_id.encode("utf-8")).hexdigest()[:2]
-
-
-def sharding_enabled(store_root: Union[str, Path]) -> bool:
-    """Whether *new* run directories under this root should shard.
-
-    True when ``runs/.sharded`` exists (a store that ever sharded
-    keeps sharding — mixing layouts for new runs is allowed but
-    pointless) or the ``REPRO_STORE_SHARD`` environment variable is
-    set to a non-empty, non-``0`` value.
-    """
-    if (Path(store_root) / RUNS_DIRNAME / SHARD_MARKER).exists():
-        return True
-    return os.environ.get("REPRO_STORE_SHARD", "0") not in ("", "0")
-
-
-def resolve_run_directory(
-    store_root: Union[str, Path], run_id: str, create: bool = False
-) -> Path:
-    """The directory of one service run, across both layouts.
-
-    An existing directory wins wherever it lives (flat first — the
-    legacy layout — then the shard bucket).  With ``create`` the
-    preferred layout for *new* runs is chosen by
-    :func:`sharding_enabled`, and the shard marker is dropped so the
-    store keeps its layout from then on.  Without ``create`` the
-    preferred path is returned without touching the filesystem.
-    """
-    root = Path(store_root)
-    flat = root / RUNS_DIRNAME / run_id
-    sharded = root / RUNS_DIRNAME / shard_of(run_id) / run_id
-    if flat.exists():
-        return flat
-    if sharded.exists():
-        return sharded
-    if not sharding_enabled(root):
-        return flat
-    if create:
-        sharded.parent.mkdir(parents=True, exist_ok=True)
-        marker = root / RUNS_DIRNAME / SHARD_MARKER
-        if not marker.exists():
-            try:
-                marker.write_text("sharded run directories\n", encoding="utf-8")
-            except OSError:
-                pass
-    return sharded
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +317,8 @@ class StoreIndex:
     operations run in one ``BEGIN IMMEDIATE`` transaction with a
     bounded locked-database retry, and no connection outlives a call
     — so the object itself is freely shareable and picklable-adjacent
-    (only the path matters).
+    (only the path matters).  Every SQLite failure surfaces as
+    :class:`StoreIndexError`.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -388,72 +337,47 @@ class StoreIndex:
 
     @classmethod
     def ensure(cls, store_root: Union[str, Path]) -> "StoreIndex":
-        """The index of a store root, created (with schema) if missing."""
+        """The index of a store root, ready to answer listings.
+
+        An index that is missing, or was written under another schema
+        version, is rebuilt from the walk first.  A store still
+        holding the retired sharded layout raises.
+        """
         index = cls.at(store_root)
-        index._initialize()
+        _check_flat_layout(index.root / RUNS_DIRNAME)
+        if not index._current():
+            index.rebuild()
         return index
 
     @classmethod
     def attach(cls, start_dir: Union[str, Path]) -> Optional["StoreIndex"]:
-        """The nearest enclosing index of a run directory, if any.
+        """The index a grid stored under ``start_dir`` keeps fresh.
 
         Walks up from ``start_dir`` (inclusive) a few levels looking
         for an existing ``index.sqlite`` — a grid at
         ``<root>/runs/<run id>/<label>`` finds the service root's
-        sidecar.  When none exists, one is created at ``start_dir``
-        itself *unless* that directory is a service run directory
-        (holds ``run.json``): a per-run index would shadow the real
-        root's.  Returns ``None`` rather than creating in that case.
-
-        A freshly created sidecar is seeded from a full walk of
-        ``start_dir`` before being handed to the caller: incremental
-        writers only ever upsert their *own* rows, so an index born
-        empty next to pre-existing runs would hide them from every
-        reader that trusts it.  Existence implies completeness.
+        index.  When none exists, one is built at ``start_dir`` itself
+        (:meth:`ensure`: from a full walk, since incremental writers
+        only upsert their own rows) *unless* that directory is a
+        service run directory (holds ``run.json``): a per-run index
+        would shadow the root's, so ``None`` is returned and the
+        caller probes again on its next write.
         """
         start = Path(start_dir)
         probe = start
         for _ in range(_ATTACH_DEPTH):
             candidate = probe / INDEX_NAME
-            try:
-                if candidate.exists():
-                    return cls(candidate)
-            except OSError:
-                return None
-            parent = probe.parent
-            if parent == probe:
+            if candidate.exists():
+                return cls(candidate)
+            if probe.parent == probe:
                 break
-            probe = parent
+            probe = probe.parent
         if (start / RUN_RECORD_NAME).exists():
             return None
-        index = cls(start / INDEX_NAME)
-        try:
-            index._initialize()
-            index.replace_all(collect_entries(start))
-        except StoreIndexError:
-            return None
-        return index
+        return cls.ensure(start)
 
     def exists(self) -> bool:
         return self.path.exists()
-
-    def mtime_ns(self) -> Optional[int]:
-        """The freshest mtime across the database and its WAL files.
-
-        In WAL mode a write lands in ``index.sqlite-wal`` long before
-        a checkpoint touches the main file, so invalidation signals
-        (the memoized-walk cache in ``repro.api``) must consider all
-        three.  ``None`` when the index does not exist.
-        """
-        newest: Optional[int] = None
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                stamp = os.stat(str(self.path) + suffix).st_mtime_ns
-            except OSError:
-                continue
-            if newest is None or stamp > newest:
-                newest = stamp
-        return newest
 
     # -- connections --------------------------------------------------------
 
@@ -464,25 +388,16 @@ class StoreIndex:
         connection.execute("PRAGMA busy_timeout=10000")
         return connection
 
-    def _initialize(self) -> None:
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self._write() as connection:
-                connection.executescript(_SCHEMA)
-                connection.execute(
-                    "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                    ("schema", str(INDEX_SCHEMA_VERSION)),
-                )
-        except sqlite3.Error as exc:
-            raise StoreIndexError(f"cannot initialize {self.path}: {exc}")
-
     def _write(self):
         """A write transaction with bounded busy retries.
 
         WAL allows one writer at a time; concurrent appenders (two
         threads streaming cells into the same store) serialize here.
         ``busy_timeout`` covers intra-transaction locks; the retry
-        loop covers the ``BEGIN IMMEDIATE`` itself.
+        loop covers the ``BEGIN IMMEDIATE`` itself.  The tables are
+        created before the transaction opens (``executescript``
+        commits whatever transaction is pending), so every statement
+        inside runs under the one write lock.
         """
         index = self
 
@@ -492,6 +407,7 @@ class StoreIndex:
                 for attempt in range(5):
                     connection = index._connect()
                     try:
+                        connection.executescript(_SCHEMA)
                         connection.execute("BEGIN IMMEDIATE")
                         self._connection = connection
                         return connection
@@ -513,14 +429,28 @@ class StoreIndex:
 
         return _WriteTransaction()
 
-    def _schema_current(self, connection: sqlite3.Connection) -> bool:
+    @staticmethod
+    def _schema_current(connection: sqlite3.Connection) -> bool:
         try:
             row = connection.execute(
                 "SELECT value FROM meta WHERE key = 'schema'"
             ).fetchone()
-        except sqlite3.Error:
-            return False
+        except sqlite3.OperationalError:
+            return False  # no tables yet: a rebuild has not committed
         return row is not None and row[0] == str(INDEX_SCHEMA_VERSION)
+
+    def _current(self) -> bool:
+        """Whether the index exists and carries the current schema."""
+        if not self.exists():
+            return False
+        try:
+            connection = self._connect()
+            try:
+                return self._schema_current(connection)
+            finally:
+                connection.close()
+        except sqlite3.Error as exc:
+            raise StoreIndexError(f"cannot open {self.path}: {exc}") from exc
 
     # -- serialization ------------------------------------------------------
 
@@ -646,35 +576,71 @@ class StoreIndex:
             ],
         )
 
-    def replace_all(self, entries: Sequence[RunEntry]) -> None:
-        """Rebuild the whole index from walked entries (atomic)."""
+    def _replace(
+        self, connection: sqlite3.Connection, entries: Sequence[RunEntry]
+    ) -> None:
+        connection.execute(
+            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+            ("schema", str(INDEX_SCHEMA_VERSION)),
+        )
+        connection.execute("DELETE FROM runs")
+        connection.execute("DELETE FROM cells")
+        for entry in entries:
+            row = self._row_of(entry)
+            connection.execute(self._UPSERT, row)
+            self._write_cells(connection, row[0], entry)
+
+    def rebuild(self) -> int:
+        """Rebuild the whole index from a walk of the store root (atomic).
+
+        The walk runs under the write lock, so concurrent writers stay
+        in sync (see the module docstring).  Returns the number of
+        indexed runs.
+        """
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self._write() as connection:
-                connection.executescript(_SCHEMA)
-                connection.execute(
-                    "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                    ("schema", str(INDEX_SCHEMA_VERSION)),
-                )
-                connection.execute("DELETE FROM runs")
-                connection.execute("DELETE FROM cells")
-                for entry in entries:
-                    row = self._row_of(entry)
-                    connection.execute(self._UPSERT, row)
-                    self._write_cells(connection, row[0], entry)
+                entries = collect_entries(self.root)
+                self._replace(connection, entries)
         except sqlite3.Error as exc:
-            raise StoreIndexError(f"cannot rebuild {self.path}: {exc}")
+            raise StoreIndexError(f"cannot rebuild {self.path}: {exc}") from exc
+        return len(entries)
+
+    def replace_all(self, entries: Sequence[RunEntry]) -> None:
+        """Replace the whole index with already-walked entries (atomic)."""
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with self._write() as connection:
+                self._replace(connection, entries)
+        except sqlite3.Error as exc:
+            raise StoreIndexError(f"cannot rebuild {self.path}: {exc}") from exc
 
     def update_entry(self, entry: RunEntry) -> None:
         """Upsert one run's row + cell rows (state transitions, opens)."""
         try:
             with self._write() as connection:
-                connection.executescript(_SCHEMA)
                 row = self._row_of(entry)
                 connection.execute(self._UPSERT, row)
                 self._write_cells(connection, row[0], entry)
         except sqlite3.Error as exc:
-            raise StoreIndexError(f"cannot update {self.path}: {exc}")
+            raise StoreIndexError(f"cannot update {self.path}: {exc}") from exc
+
+    def update_grid(
+        self, directory: Union[str, Path], manifest: Mapping[str, Any]
+    ) -> None:
+        """Upsert the row one grid feeds (grid opens and finalizes).
+
+        A bare grid has its own row; a grid inside a service run
+        directory feeds that run's aggregate row instead.
+        """
+        directory = Path(directory)
+        owner = self._service_owner(directory)
+        if owner is None:
+            self.update_entry(grid_entry(directory, manifest))
+            return
+        entry = service_run_entry(owner)
+        if entry is not None:
+            self.update_entry(entry)
 
     def update_grid_cell(
         self,
@@ -687,23 +653,17 @@ class StoreIndex:
 
         The hot incremental path — O(1) per append instead of
         rewriting every cell row — used by ``RunStore`` as results
-        stream in.  The directory may be a bare grid (its own row) or
-        a label inside a service run directory, in which case the
-        *service run's* aggregate row is refreshed instead.
+        stream in.  A grid inside a service run directory refreshes
+        the service run's aggregate row instead (:meth:`update_grid`).
         """
         directory = Path(directory)
-        owner = self._service_owner(directory)
-        if owner is not None:
-            entry = service_run_entry(owner)
-            if entry is not None:
-                self.update_entry(entry)
+        if self._service_owner(directory) is not None:
+            self.update_grid(directory, manifest)
             return
-        manifest = dict(manifest)
         entry = grid_entry(directory, manifest)
         relative = self._relative(directory)
         try:
             with self._write() as connection:
-                connection.executescript(_SCHEMA)
                 row = self._row_of(entry)
                 connection.execute(self._UPSERT, row)
                 updated = connection.execute(
@@ -714,7 +674,7 @@ class StoreIndex:
                 if not updated:
                     self._write_cells(connection, relative, entry)
         except sqlite3.Error as exc:
-            raise StoreIndexError(f"cannot update {self.path}: {exc}")
+            raise StoreIndexError(f"cannot update {self.path}: {exc}") from exc
 
     def _service_owner(self, directory: Path) -> Optional[Path]:
         """The enclosing service run directory of a grid, if any."""
@@ -729,45 +689,30 @@ class StoreIndex:
             if (probe / RUN_RECORD_NAME).exists():
                 return probe
 
-    def remove(self, directory: Union[str, Path]) -> None:
-        relative = self._relative(Path(directory))
-        try:
-            with self._write() as connection:
-                connection.execute(
-                    "DELETE FROM runs WHERE directory = ?", (relative,)
-                )
-                connection.execute(
-                    "DELETE FROM cells WHERE directory = ?", (relative,)
-                )
-        except sqlite3.Error as exc:
-            raise StoreIndexError(f"cannot update {self.path}: {exc}")
-
     # -- queries ------------------------------------------------------------
 
-    def entries(self, tenant: Optional[str] = None) -> List[RunEntry]:
-        """Every indexed run, in listing order (services first).
+    def _select(self, clause: str, params: Sequence[Any] = ()) -> List[Tuple]:
+        """Rows of one listing query against a current-schema index.
 
-        Raises :class:`StoreIndexError` when the sidecar is missing,
-        torn, or from another schema version — callers fall back to
-        the walk (and typically rebuild).
+        A missing or stale index raises: readers go through
+        :meth:`ensure` first, which rebuilds it.
         """
         if not self.exists():
             raise StoreIndexError(f"no index at {self.path}")
         try:
             connection = self._connect()
+            try:
+                if not self._schema_current(connection):
+                    raise StoreIndexError(f"stale schema in {self.path}")
+                return connection.execute(self._SELECT + clause, params).fetchall()
+            finally:
+                connection.close()
         except sqlite3.Error as exc:
-            raise StoreIndexError(f"cannot open {self.path}: {exc}")
-        try:
-            if not self._schema_current(connection):
-                raise StoreIndexError(f"stale schema in {self.path}")
-            rows = connection.execute(
-                self._SELECT
-                + " ORDER BY (r.kind = 'service') DESC, r.sort_key"
-            ).fetchall()
-        except sqlite3.Error as exc:
-            raise StoreIndexError(f"cannot query {self.path}: {exc}")
-        finally:
-            connection.close()
+            raise StoreIndexError(f"cannot query {self.path}: {exc}") from exc
+
+    def entries(self, tenant: Optional[str] = None) -> List[RunEntry]:
+        """Every indexed run, in listing order (services first)."""
+        rows = self._select(" ORDER BY (r.kind = 'service') DESC, r.sort_key")
         entries = [self._entry_of(row) for row in rows]
         if tenant is not None:
             entries = [
@@ -776,42 +721,17 @@ class StoreIndex:
         return entries
 
     def lookup_run(self, run_id: str) -> Optional[RunEntry]:
-        """One run by id or label/directory name (index probe).
+        """One bare grid by label or directory name; ``None`` on a miss.
 
-        ``None`` on a miss *or* any index failure — this is a cache
-        probe; the caller retries against the filesystem.
+        Service runs are found by their directory (``runs/<run id>``),
+        never through the index.
         """
-        if not self.exists():
-            return None
-        try:
-            connection = self._connect()
-        except sqlite3.Error:
-            return None
-        try:
-            if not self._schema_current(connection):
-                return None
-            row = connection.execute(
-                self._SELECT + " WHERE r.run_id = ? OR r.label = ? "
-                "ORDER BY (r.kind = 'service') DESC, r.sort_key LIMIT 1",
-                (run_id, run_id),
-            ).fetchone()
-        except sqlite3.Error:
-            return None
-        finally:
-            connection.close()
-        return self._entry_of(row) if row is not None else None
-
-    def count_runs(self) -> int:
-        try:
-            connection = self._connect()
-        except sqlite3.Error as exc:
-            raise StoreIndexError(f"cannot open {self.path}: {exc}")
-        try:
-            return int(connection.execute("SELECT COUNT(*) FROM runs").fetchone()[0])
-        except sqlite3.Error as exc:
-            raise StoreIndexError(f"cannot query {self.path}: {exc}")
-        finally:
-            connection.close()
+        rows = self._select(
+            " WHERE r.kind = 'grid' AND (r.run_id = ? OR r.label = ?)"
+            " ORDER BY r.sort_key LIMIT 1",
+            (run_id, run_id),
+        )
+        return self._entry_of(rows[0]) if rows else None
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +826,6 @@ __all__ = [
     "MANIFEST_NAME",
     "RUNS_DIRNAME",
     "RUN_RECORD_NAME",
-    "SHARD_MARKER",
     "CompactionResult",
     "RunEntry",
     "StoreIndex",
@@ -917,8 +836,5 @@ __all__ = [
     "grid_entry",
     "iter_service_run_dirs",
     "read_run_record",
-    "resolve_run_directory",
     "service_run_entry",
-    "shard_of",
-    "sharding_enabled",
 ]

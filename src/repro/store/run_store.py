@@ -24,7 +24,10 @@ manifest is a derived, human-readable view — profile fingerprint,
 seeds, cell keys in grid order and a per-cell status map — rewritten
 atomically (temp file + ``os.replace``) after every append so external
 tools (the ``repro-seu runs`` subcommand, CI artifact inspection) never
-observe a torn file.
+observe a torn file.  Each rewrite is also pushed into the store root's
+SQLite index (:mod:`repro.store.index`), the one path listings are
+answered from; an index write that fails raises rather than leaving
+the listing silently behind the records.
 
 Determinism contract
 --------------------
@@ -164,7 +167,7 @@ class RunStore:
         self._status: Dict[str, str] = {key: "pending" for key in self.keys}
         self._run_status = "running"
         self._executor_stats: Optional[Dict[str, Any]] = None
-        self._index: Optional[Any] = None  # StoreIndex, attached on open
+        self._index: Optional[Any] = None  # StoreIndex, once one is found
 
     # -- paths --------------------------------------------------------------
 
@@ -244,7 +247,7 @@ class RunStore:
 
             clear_checkpoints(store.directory)
         store._write_manifest()
-        store._attach_index()
+        store._index_refresh()
         return store
 
     def finalize(self) -> None:
@@ -259,50 +262,31 @@ class RunStore:
         self._write_manifest()
         self._index_refresh()
 
-    # -- sidecar index ------------------------------------------------------
-
-    def _attach_index(self) -> None:
-        """Bind the store-root sidecar index, best-effort.
-
-        The index is a pure cache (see :mod:`repro.store.index`): any
-        failure here — locked database, read-only filesystem, the
-        ``REPRO_STORE_NO_INDEX`` kill switch — degrades to "no index
-        maintenance", never to a failed run.  Readers rebuild from the
-        records/manifests we keep writing regardless.
-        """
-        if os.environ.get("REPRO_STORE_NO_INDEX", "0") not in ("", "0"):
-            return
-        try:
-            from repro.store.index import StoreIndex
-
-            self._index = StoreIndex.attach(self.directory.parent)
-            self._index_refresh()
-        except Exception:
-            self._index = None
+    # -- store index --------------------------------------------------------
 
     def _index_refresh(self, key: Optional[str] = None) -> None:
-        """Push this run's current state into the sidecar, best-effort."""
+        """Push this run's current state into the store's index.
+
+        Called after every manifest rewrite.  While no index has been
+        found (a grid inside a service store that nobody has listed
+        yet) every call probes again, so an index a listing builds
+        mid-run is kept in sync from then on.  Index failures raise
+        :class:`~repro.store.index.StoreIndexError`: the record and
+        the manifest are already durable, and a resume re-pushes the
+        row.
+        """
+        from repro.store.index import StoreIndex
+
         if self._index is None:
-            return
-        try:
-            if key is not None:
-                self._index.update_grid_cell(
-                    self.directory, self.manifest(), key, self._status[key]
-                )
-            else:
-                from repro.store.index import grid_entry
-
-                owner = self._index._service_owner(self.directory)
-                if owner is not None:
-                    from repro.store.index import service_run_entry
-
-                    entry = service_run_entry(owner)
-                else:
-                    entry = grid_entry(self.directory, self.manifest())
-                if entry is not None:
-                    self._index.update_entry(entry)
-        except Exception:
-            self._index = None  # degrade once, stay quiet afterwards
+            self._index = StoreIndex.attach(self.directory.parent)
+            if self._index is None:
+                return
+        if key is None:
+            self._index.update_grid(self.directory, self.manifest())
+        else:
+            self._index.update_grid_cell(
+                self.directory, self.manifest(), key, self._status[key]
+            )
 
     # -- records ------------------------------------------------------------
 
@@ -468,7 +452,9 @@ def read_manifest(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
 
 
 def iter_manifests(
-    store_dir: Union[str, Path], max_depth: int = 4
+    store_dir: Union[str, Path],
+    max_depth: int = 4,
+    skip: Optional[Path] = None,
 ) -> Iterator[Tuple[Path, Dict[str, Any]]]:
     """Yield ``(run_directory, manifest)`` for every run under a store root.
 
@@ -479,7 +465,8 @@ def iter_manifests(
     ``max_depth`` levels, and a directory holding a manifest is
     yielded without descending further.  Concurrent-reader safe —
     children appearing or vanishing mid-walk (a writer creating the
-    next run directory) are skipped, not raised.
+    next run directory) are skipped, not raised.  The ``skip``
+    directory is not descended into.
     """
     root = Path(store_dir)
     direct = read_manifest(root / MANIFEST_NAME)
@@ -494,8 +481,8 @@ def iter_manifests(
         return
     for child in children:
         try:
-            if not child.is_dir():
+            if child == skip or not child.is_dir():
                 continue
         except OSError:
             continue
-        yield from iter_manifests(child, max_depth=max_depth - 1)
+        yield from iter_manifests(child, max_depth=max_depth - 1, skip=skip)

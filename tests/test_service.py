@@ -30,6 +30,7 @@ from repro.service import (
     ServiceConfig,
     make_server,
 )
+from repro.store.index import read_run_record
 
 FIG3 = {"experiment": "fig3", "profile": "smoke"}
 
@@ -263,6 +264,17 @@ class TestHttpService:
             assert excinfo.value.status == 404
             assert excinfo.value.code == "unknown-run"
 
+    def test_store_error_structured_500(self, service):
+        client, server = service
+        runs = server.manager.store_root / "runs"
+        runs.mkdir(exist_ok=True)
+        (runs / ".sharded").touch()
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.runs()
+        assert excinfo.value.status == 500
+        assert excinfo.value.code == "store-error"
+        assert "runs/<run id>" in str(excinfo.value)
+
     def test_unknown_endpoint_404(self, service):
         client, _server = service
         with pytest.raises(ServiceClientError) as excinfo:
@@ -328,7 +340,7 @@ def _dead_pid():
 def _orphan_record(store_root, run_id, state="running"):
     """Rewrite a run record as if its owning server process died."""
     run_dir = api._run_directory(store_root, run_id)
-    record = api._read_run_record(run_dir)
+    record = read_run_record(run_dir)
     assert record is not None
     record["state"] = state
     record["owner"] = {
@@ -348,14 +360,14 @@ class TestFaultTolerance:
         assert status.state == api.INTERRUPTED_STATE
         assert [s.state for s in api.list_runs(store)] == ["interrupted"]
         # Derived, never written: the on-disk record still says running.
-        record = api._read_run_record(api._run_directory(store, submission.run_id))
+        record = read_run_record(api._run_directory(store, submission.run_id))
         assert record["state"] == "running"
 
     def test_live_owner_is_not_interrupted(self, tmp_path):
         store = tmp_path / "svc"
         submission = api.submit_run(FIG3, store, wait=False)
         run_dir = api._run_directory(store, submission.run_id)
-        record = api._read_run_record(run_dir)
+        record = read_run_record(run_dir)
         record["state"] = "running"  # owner: this process, alive
         api._write_run_record(run_dir, record)
         assert api.run_status(store, submission.run_id).state == "running"
@@ -367,7 +379,7 @@ class TestFaultTolerance:
         again = api.submit_run(FIG3, store, wait=False)
         assert again.run_id == first.run_id
         assert again.scheduled is True  # requeued under this owner, not joined
-        record = api._read_run_record(api._run_directory(store, first.run_id))
+        record = read_run_record(api._run_directory(store, first.run_id))
         assert record["state"] == "queued"
         assert record["owner"]["pid"] == os.getpid()
 
@@ -391,7 +403,7 @@ class TestFaultTolerance:
         with _manager(tmp_path, resume_orphans=False) as manager:
             assert manager.wait_idle(timeout=30)
             assert manager.job_states() == {}
-        record = api._read_run_record(api._run_directory(store, submission.run_id))
+        record = read_run_record(api._run_directory(store, submission.run_id))
         assert record["state"] == "queued"
 
     def test_graceful_drain_persists_queued_backlog(self, tmp_path, monkeypatch):
@@ -431,7 +443,7 @@ class TestFaultTolerance:
         # record persists as queued for the next boot.
         assert executed == [first.run_id]
         assert manager.status(first.run_id).state == "complete"
-        record = api._read_run_record(
+        record = read_run_record(
             api._run_directory(tmp_path / "svc", second.run_id)
         )
         assert record["state"] == "queued"

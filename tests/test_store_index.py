@@ -1,11 +1,14 @@
-"""The SQLite sidecar index: parity, concurrency, compaction, sharding.
+"""The SQLite store index: parity, fail-loud writes, concurrency,
+compaction, and the refusal of the retired sharded layout.
 
-The contract under test (see :mod:`repro.store.index`): the index is a
-pure cache over ``records.jsonl`` + ``manifest.json`` — an index-served
-listing must be **identical** to the directory walk it caches, deleting
-``index.sqlite`` must cost one listing (never an answer), concurrent
-appenders must never lose cell updates, and a reader racing compaction
-must see the old records file or the new one, never a torn view.
+The contract under test (see :mod:`repro.store.index`): every listing
+is answered from the index, and that answer must be **identical** to
+the statuses built from the directory walk (:func:`collect_entries`);
+deleting ``index.sqlite`` must cost one listing (never an answer); a
+failed index write must raise, never leave the listing silently
+stale; concurrent appenders must never lose cell updates; and a reader
+racing compaction must see the old records file or the new one, never
+a torn view.
 """
 
 import json
@@ -18,19 +21,21 @@ import pytest
 from repro import api
 from repro.experiments import ExperimentProfile
 from repro.experiments.common import run_cells
+from repro.service import JobManager
 from repro.store import (
     MANIFEST_NAME,
     RECORDS_NAME,
-    SHARD_MARKER,
+    RUN_RECORD_NAME,
+    RunStore,
     StoreIndex,
+    StoreIndexError,
     collect_entries,
     compact_records,
     compact_store,
-    resolve_run_directory,
+    iter_manifests,
     scan_records,
-    shard_of,
-    sharding_enabled,
 )
+from repro.store.index import grid_entry, service_run_entry
 from repro.store.run_store import FORMAT_VERSION
 
 
@@ -87,6 +92,27 @@ def _dicts(statuses):
     return [status.to_dict() for status in statuses]
 
 
+def _walked(root):
+    """The statuses the directory walk yields: the listing's oracle."""
+    return [api._status_from_entry(entry) for entry in collect_entries(root)]
+
+
+def _write_service_run(root, run_id, tenants=("t",), state="complete"):
+    """One service run directory: ``run.json`` plus one labelled grid."""
+    run_dir = root / "runs" / run_id
+    _write_grid(run_dir / "optimize", "optimize")
+    record = {
+        "run_id": run_id,
+        "label": run_id,
+        "state": state,
+        "tenants": list(tenants),
+        "error": None,
+        "spec": {"graph": {"tasks": [{"name": "t0"}] * 4}},
+    }
+    (run_dir / RUN_RECORD_NAME).write_text(json.dumps(record), encoding="utf-8")
+    return run_dir
+
+
 # ---------------------------------------------------------------------------
 # Walk/index parity: the cache must be invisible.
 # ---------------------------------------------------------------------------
@@ -94,9 +120,8 @@ def _dicts(statuses):
 
 class TestListingParity:
     def test_index_listing_identical_to_walk(self, store_root):
-        api._LISTING_CACHE.clear()
-        walked = api.list_runs(store_root, use_index=False)
-        indexed = api.list_runs(store_root, use_index=True)
+        indexed = api.list_runs(store_root)
+        walked = _walked(store_root)
         assert _dicts(indexed) == _dicts(walked)
         assert [s.directory for s in indexed] == [s.directory for s in walked]
         assert [s.cells for s in indexed] == [s.cells for s in walked]
@@ -104,15 +129,34 @@ class TestListingParity:
     def test_deleting_sidecar_costs_one_listing_never_an_answer(
         self, store_root
     ):
-        api._LISTING_CACHE.clear()
-        reference = _dicts(api.list_runs(store_root, use_index=True))
+        reference = _dicts(api.list_runs(store_root))
         for path in _sidecar_files(store_root):
             if path.exists():
                 path.unlink()
-        api._LISTING_CACHE.clear()
-        assert _dicts(api.list_runs(store_root, use_index=True)) == reference
+        assert _dicts(api.list_runs(store_root)) == reference
         # ... and the answer rebuilt the sidecar on its way out.
         assert (store_root / "index.sqlite").exists()
+
+    def test_stale_schema_is_rebuilt_before_answering(self, store_root):
+        import sqlite3
+
+        api.list_runs(store_root)
+        _write_grid(store_root / "grid-99", "grid-99")
+        connection = sqlite3.connect(str(store_root / "index.sqlite"))
+        with connection:
+            connection.execute("UPDATE meta SET value = '0'")
+        connection.close()
+        with pytest.raises(StoreIndexError, match="stale schema"):
+            StoreIndex.at(store_root).entries()
+        assert _dicts(api.list_runs(store_root)) == _dicts(_walked(store_root))
+        assert len(api.list_runs(store_root)) == NUM_GRIDS + 1
+
+    def test_missing_index_raises_instead_of_answering(self, tmp_path):
+        index = StoreIndex.at(tmp_path)
+        with pytest.raises(StoreIndexError, match="no index"):
+            index.entries()
+        with pytest.raises(StoreIndexError, match="no index"):
+            index.lookup_run("grid-00")
 
     def test_rebuild_index_counts_runs(self, store_root):
         assert api.rebuild_index(store_root) == NUM_GRIDS
@@ -125,33 +169,65 @@ class TestListingParity:
 
     def test_stale_index_is_corrected_by_rebuild(self, store_root):
         index = StoreIndex.ensure(store_root)
-        index.replace_all(collect_entries(store_root))
         # A new grid lands without touching the index (simulated
         # out-of-band writer): the walk sees it, the stale index not.
         _write_grid(store_root / "grid-99", "grid-99")
         assert len(index.entries()) == NUM_GRIDS
-        index.replace_all(collect_entries(store_root))
+        assert index.rebuild() == NUM_GRIDS + 1
         assert len(index.entries()) == NUM_GRIDS + 1
 
     def test_lookup_run_by_directory_name_and_label(self, store_root):
         index = StoreIndex.ensure(store_root)
-        index.replace_all(collect_entries(store_root))
         entry = index.lookup_run("grid-02")
         assert entry is not None
         assert entry.total == CELLS_PER_GRID
         assert index.lookup_run("no-such-run") is None
 
-    def test_listing_memo_invalidated_by_index_writes(self, store_root):
-        api._LISTING_CACHE.clear()
-        first = api.list_runs(store_root, use_index=True)
-        assert _dicts(api.list_runs(store_root, use_index=True)) == _dicts(first)
-        # An index write moves mtime_ns (WAL included) -> memo drops.
-        index = StoreIndex.at(store_root)
-        stamp = index.mtime_ns()
-        _write_grid(store_root / "grid-77", "grid-77")
-        index.replace_all(collect_entries(store_root))
-        assert index.mtime_ns() != stamp
-        assert len(api.list_runs(store_root, use_index=True)) == NUM_GRIDS + 1
+    def test_lookup_run_finds_bare_grids_only(self, store_root):
+        _write_service_run(store_root, "grid-02")  # a service run, same id
+        entry = StoreIndex.ensure(store_root).lookup_run("grid-02")
+        assert (entry.kind, entry.directory) == ("grid", store_root / "grid-02")
+        assert api.run_status(store_root, "grid-02").directory == str(
+            store_root / "runs" / "grid-02"
+        )
+
+
+class TestCollectEntries:
+    @staticmethod
+    def _reference(root):
+        """The walk as it was before the grid pass skipped ``runs/``."""
+        runs = root / "runs"
+        entries = []
+        if runs.is_dir():
+            for run_dir in sorted(runs.iterdir(), key=lambda p: p.name):
+                if (run_dir / RUN_RECORD_NAME).exists():
+                    entries.append(service_run_entry(run_dir))
+        for directory, manifest in iter_manifests(root):
+            if directory == runs or runs in directory.parents:
+                continue
+            entries.append(grid_entry(directory, manifest))
+        return entries
+
+    def test_mixed_store_matches_the_full_walk(self, tmp_path):
+        root = tmp_path / "store"
+        for run in ("run-b", "run-a", "run-c"):
+            _write_service_run(root, run)
+        _write_grid(root / "beside", "beside")
+        _write_grid(root / "group" / "sub" / "deep", "deep")
+        entries = collect_entries(root)
+        assert [entry.run_id for entry in entries] == [
+            "run-a",
+            "run-b",
+            "run-c",
+            "beside",
+            "deep",
+        ]
+        assert entries == self._reference(root)
+
+    def test_root_holding_a_manifest_is_one_grid(self, store_root):
+        grid = store_root / "grid-01"
+        assert collect_entries(grid) == self._reference(grid)
+        assert [entry.run_id for entry in collect_entries(grid)] == ["grid-01"]
 
 
 class TestIncrementalUpdates:
@@ -175,15 +251,79 @@ class TestIncrementalUpdates:
         # No rebuild between: the entry matches the walk field for field.
         assert index.entries() == collect_entries(tmp_path)
 
-    def test_kill_switch_disables_the_sidecar(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_NO_INDEX", "1")
+    def test_second_run_lands_in_an_indexed_store_and_is_listed(
+        self, tmp_path, monkeypatch
+    ):
         profile = self._profile(tmp_path)
-        run_cells([_SquareJob(7, profile)], profile, label="grid")
+        run_cells([_SquareJob(2, profile)], profile, label="first")
+        assert len(api.list_runs(tmp_path)) == 1
+        # The variable that used to switch index writes off is inert.
+        monkeypatch.setenv("REPRO_STORE_NO_INDEX", "1")
+        run_cells([_SquareJob(3, profile)], profile, label="second")
+        listed = api.list_runs(tmp_path)
+        assert [status.label for status in listed] == ["first", "second"]
+        assert _dicts(listed) == _dicts(_walked(tmp_path))
+
+    def test_failed_index_write_raises_and_resume_heals(
+        self, tmp_path, monkeypatch
+    ):
+        real = StoreIndex.update_grid_cell
+        calls = []
+
+        def locked_once(self, *args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise StoreIndexError("database is locked")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(StoreIndex, "update_grid_cell", locked_once)
+        profile = self._profile(tmp_path)
+        jobs = [_SquareJob(value, profile) for value in range(3)]
+        with pytest.raises(StoreIndexError, match="database is locked"):
+            run_cells(jobs, profile, label="grid")
+        # The failed cell's record is durable; its index row is behind.
+        assert [r.key for r in scan_records(tmp_path / "grid" / RECORDS_NAME)]
+        resumed = profile.with_store(str(tmp_path), resume=True)
+        assert run_cells(jobs, resumed, label="grid") == [0, 1, 4]
+        (status,) = api.list_runs(tmp_path)
+        assert (status.state, status.completed) == ("complete", 3)
+        assert _dicts([status]) == _dicts(_walked(tmp_path))
+
+    def test_index_failure_ends_a_service_run_failed(
+        self, tmp_path, monkeypatch
+    ):
+        api.list_runs(tmp_path)  # the store has an index from here on
+
+        def locked(self, *args, **kwargs):
+            raise StoreIndexError("database is locked")
+
+        monkeypatch.setattr(StoreIndex, "update_grid", locked)
+        spec = api.RunSpec.coerce({"experiment": "fig3", "profile": "smoke"})
+        with pytest.raises(StoreIndexError, match="database is locked"):
+            api.submit_run(spec, tmp_path)
+        status = api.run_status(tmp_path, spec.run_id())
+        assert status.state == "failed"
+        assert status.error == "StoreIndexError: database is locked"
+        (listed,) = api.list_runs(tmp_path)
+        assert (listed.state, listed.error) == (status.state, status.error)
+
+    def test_index_built_mid_run_is_kept_in_sync(self, tmp_path):
+        """A writer that found no index probes again on its next write."""
+        run_dir = _write_service_run(tmp_path, "run-x", state="running")
+        store = RunStore.open(
+            run_dir / "live",
+            label="live",
+            fingerprint="f" * 16,
+            keys=["000:a", "001:b"],
+        )
+        store.record_result("000:a", 0, 1)
         assert not (tmp_path / "index.sqlite").exists()
-        # The walk still answers, index-free.
-        api._LISTING_CACHE.clear()
-        statuses = api.list_runs(tmp_path, use_index=False)
-        assert [status.state for status in statuses] == ["complete"]
+        api.list_runs(tmp_path)  # builds the index mid-run
+        store.record_result("001:b", 1, 2)
+        store.finalize()
+        (status,) = api.list_runs(tmp_path)
+        assert status.completed == CELLS_PER_GRID + 2
+        assert _dicts([status]) == _dicts(_walked(tmp_path))
 
     def test_no_sidecar_inside_grid_directories(self, tmp_path):
         profile = self._profile(tmp_path)
@@ -272,6 +412,29 @@ class TestConcurrency:
         assert all(
             entry.cell_status[key] == "done" for key in entry.cells
         ), entry.cell_status
+
+    def test_rebuild_walks_under_the_write_lock(self, store_root, monkeypatch):
+        """A writer cannot slip an upsert between the walk and the replace."""
+        import sqlite3
+
+        from repro.store import index as index_module
+
+        StoreIndex.ensure(store_root)
+        blocked = []
+
+        def walk_while_probing(root):
+            probe = sqlite3.connect(str(store_root / "index.sqlite"), timeout=0)
+            try:
+                probe.execute("BEGIN IMMEDIATE")
+            except sqlite3.OperationalError as exc:
+                blocked.append(str(exc))
+            finally:
+                probe.close()
+            return collect_entries(root)
+
+        monkeypatch.setattr(index_module, "collect_entries", walk_while_probing)
+        assert StoreIndex.at(store_root).rebuild() == NUM_GRIDS
+        assert blocked == ["database is locked"]
 
     def test_writer_waits_out_a_held_write_lock(self, store_root):
         """The BEGIN IMMEDIATE retry + busy_timeout ride out a writer."""
@@ -387,38 +550,34 @@ class TestCompaction:
 
 
 # ---------------------------------------------------------------------------
-# Sharded service layouts.
+# The retired sharded layout is refused, never half-listed.
 # ---------------------------------------------------------------------------
 
 
-class TestSharding:
-    def test_shard_of_is_two_hex_digits_and_stable(self):
-        assert shard_of("run-xyz") == shard_of("run-xyz")
-        assert len(shard_of("run-xyz")) == 2
-        assert shard_of("run-xyz") != shard_of("run-abc")
+class TestRetiredShardedLayout:
+    def test_sharded_run_directory_fails_listing_lookup_and_start(
+        self, tmp_path
+    ):
+        _write_service_run(tmp_path, "run-flat")
+        _write_service_run(tmp_path / "runs", "run-sharded")  # runs/runs/…
+        shard = tmp_path / "runs" / "3f"
+        (tmp_path / "runs" / "runs").rename(shard)
+        move = r"runs/<run id>"
+        with pytest.raises(StoreIndexError, match=move):
+            api.list_runs(tmp_path)
+        with pytest.raises(StoreIndexError, match=move):
+            api.run_status(tmp_path, "run-sharded")
+        with pytest.raises(StoreIndexError, match=move):
+            JobManager(tmp_path).start()
 
-    def test_marker_enables_sharding_for_new_runs(self, tmp_path):
-        runs = tmp_path / "runs"
-        runs.mkdir()
-        assert not sharding_enabled(tmp_path)
-        (runs / SHARD_MARKER).touch()
-        assert sharding_enabled(tmp_path)
-        run_dir = resolve_run_directory(tmp_path, "run-xyz", create=True)
-        assert run_dir == runs / shard_of("run-xyz") / "run-xyz"
-
-    def test_existing_flat_run_wins_over_sharded_layout(self, tmp_path):
-        runs = tmp_path / "runs"
-        flat = runs / "run-xyz"
-        flat.mkdir(parents=True)
-        (flat / "run.json").write_text("{}", encoding="utf-8")
-        (runs / SHARD_MARKER).touch()
-        assert resolve_run_directory(tmp_path, "run-xyz") == flat
-
-    def test_env_variable_enables_sharding(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_SHARD", "1")
-        assert sharding_enabled(tmp_path)
-        run_dir = resolve_run_directory(tmp_path, "run-abc", create=True)
-        assert run_dir.parent.name == shard_of("run-abc")
+    def test_shard_marker_fails_even_with_a_current_index(self, store_root):
+        api.list_runs(store_root)
+        (store_root / "runs").mkdir()
+        (store_root / "runs" / ".sharded").touch()
+        with pytest.raises(StoreIndexError, match=r"runs/<run id>"):
+            api.list_runs(store_root)
+        with pytest.raises(StoreIndexError, match=r"runs/<run id>"):
+            api.run_status(store_root, "grid-00")
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +595,19 @@ class TestCliRuns:
     def test_runs_listing_identical_with_and_without_index(
         self, store_root, capsys
     ):
-        api._LISTING_CACHE.clear()
-        assert self._run(
-            ["runs", "--store-dir", str(store_root), "--json"]
-        ) == 0
-        indexed = capsys.readouterr().out
-        assert self._run(
-            ["runs", "--store-dir", str(store_root), "--json", "--no-index"]
-        ) == 0
-        walked = capsys.readouterr().out
-        assert indexed == walked
+        walked = json.dumps(_dicts(_walked(store_root)), indent=2, sort_keys=True)
+        argv = ["runs", "--store-dir", str(store_root), "--json"]
+        assert self._run(argv) == 0
+        built = capsys.readouterr().out
+        assert self._run(argv) == 0
+        incremental = capsys.readouterr().out
+        assert built == incremental == walked + "\n"
+
+    def test_runs_refuses_a_sharded_store(self, store_root, capsys):
+        (store_root / "runs").mkdir()
+        (store_root / "runs" / ".sharded").touch()
+        assert self._run(["runs", "--store-dir", str(store_root)]) == 1
+        assert "runs/<run id>" in capsys.readouterr().err
 
     def test_rebuild_and_compact_flags(self, store_root, capsys):
         shutil.rmtree(store_root / "grid-00")
